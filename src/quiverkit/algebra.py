@@ -65,6 +65,7 @@ class BasedAlgebra:
         self._expressions = None
         self._opposite = None
         self._resolutions = {}
+        self._projectives = {}
         self._simple_keys = None
         if len(self.idempotents) != len(self.vertices):
             raise BuildError("one idempotent per vertex required")
@@ -88,9 +89,6 @@ class BasedAlgebra:
         for k in self.idempotents:
             v[k] = self.field.one()
         return v
-
-    def mul_basis(self, i, j):
-        return self.mult[i][j]
 
     def mul_vec(self, v, w):
         f = self.field

@@ -750,12 +750,6 @@ class ExtensionReport:
         }
 
 
-def _embed_zero(m: Module, big: BasedAlgebra, label=None) -> Module:
-    """A module along a quotient map big ->> m.algebra style embedding:
-    vertex ids are matched, everything else acts by zero."""
-    return transport_module(m, big, label=label or m.label)
-
-
 def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
                           frag: ARFragment = None, node_cap: int = 80):
     """Extend a cluster-tilted algebra along a module on a local slice.
@@ -814,7 +808,7 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
         sigma2 = []
         ok_embed = True
         for mod in sigma_modules:
-            emb = _embed_zero(restrict_along_quotient(mod, c), bprime)
+            emb = transport_module(restrict_along_quotient(mod, c), bprime)
             i = frag2.find(emb)
             if i < 0:
                 ok_embed = False
@@ -838,7 +832,7 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
     # (d) radical of the new projective, and the socle factor of the new
     # injective against the translate of the module
     rad_pn = radical_of(pn)
-    m_emb = _embed_zero(m_c, bprime)
+    m_emb = transport_module(m_c, bprime)
     radical_matches = is_isomorphic(rad_pn, m_emb)
     in_new = injective(bprime, new_vertex)
     socle_factor = socle_quotient(in_new)

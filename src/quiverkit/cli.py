@@ -3,8 +3,7 @@
 Every pipeline of the library is reachable through a verb; output is
 text, json (with a top-level "schema": 1 field) or dot.  Exit codes:
 0 success, 1 domain error (single line prefixed ``error:``), 2 usage
-error.  The environment variable QUIVERKIT_SEED is reserved but unused;
-all algorithms are deterministic.
+error.  All algorithms are deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from quiverkit.algebra import (
     quotient_by_vertex,
 )
 from quiverkit.repmod import (
+    DecompositionError,
     ModuleError,
     decompose,
     direct_sum,
@@ -60,8 +60,9 @@ from quiverkit.arquiver import (
 )
 
 DOMAIN_ERRORS = (ParseError, MutationError, BuildError, ModuleError,
-                 HomologyError, ExtensionError, ARQuiverError,
-                 linalg.LinalgError, OSError, json.JSONDecodeError)
+                 DecompositionError, HomologyError, ExtensionError,
+                 ARQuiverError, linalg.LinalgError, OSError,
+                 json.JSONDecodeError)
 
 
 def _load_presentation(path, field_override=None):

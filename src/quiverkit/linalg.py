@@ -288,12 +288,6 @@ def mat_scale(c, m: Matrix) -> Matrix:
                   m.rows, m.cols)
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows:
-        raise LinalgError("row count mismatch")
-    return Matrix(a.field, [a.data[i] + b.data[i] for i in range(a.rows)], a.rows, a.cols + b.cols)
-
-
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise LinalgError("column count mismatch")
@@ -434,33 +428,6 @@ def in_span(vectors, target, ncols, field) -> bool:
     """Is target in the row span of vectors?"""
     base = span_rank(vectors, ncols, field)
     return span_rank(list(vectors) + [target], ncols, field) == base
-
-
-def span_basis(vectors, ncols, field):
-    """Rref basis of the row span of the given vectors."""
-    if not vectors:
-        return []
-    res = rref(row_space_matrix(vectors, ncols, field))
-    return [res.reduced.data[i] for i in range(res.rank)]
-
-
-def complement_pivots(sub_vectors, all_vectors, ncols, field):
-    """Indices into all_vectors extending a basis of the span of sub_vectors.
-
-    Greedy in order: an index is kept when its vector increases the rank of
-    sub_vectors plus the vectors kept so far.
-    """
-    kept = []
-    current = list(sub_vectors)
-    r = span_rank(current, ncols, field)
-    for idx, v in enumerate(all_vectors):
-        cand = current + [v]
-        r2 = span_rank(cand, ncols, field)
-        if r2 > r:
-            kept.append(idx)
-            current = cand
-            r = r2
-    return kept
 
 
 class SpanTracker:

@@ -239,9 +239,7 @@ def parse_presentation(text: str) -> Presentation:
     relations = []
     for line_no, col, expr in relation_specs:
         relations.append(_parse_relation(quiver, field, expr, line_no, col))
-    pres = Presentation(quiver, tuple(relations), field)
-    _check_coefficient_magnitudes(pres)
-    return pres
+    return Presentation(quiver, tuple(relations), field)
 
 
 def _parse_relation(quiver, field, expr, line_no, col0):
@@ -276,6 +274,7 @@ def _parse_relation(quiver, field, expr, line_no, col0):
         raise ParseError("empty relation", line_no, col0)
 
     parsed_terms = []
+    totals = {}  # path -> (summed coefficient, column of its first term)
     for sign, text, col in pieces:
         factors = [f.strip() for f in text.split("*")]
         if any(not f for f in factors):
@@ -303,7 +302,17 @@ def _parse_relation(quiver, field, expr, line_no, col0):
             prev = a.target
         if len(names) < 2:
             raise ParseError("relation path of length < 2", line_no, col)
-        parsed_terms.append((coeff, tuple(names)))
+        path = tuple(names)
+        parsed_terms.append((coeff, path))
+        total, first_col = totals.get(path, (field.zero(), col))
+        totals[path] = (field.add(total, coeff), first_col)
+
+    # a path whose coefficients sum to 0 in the field would silently drop
+    # out of the relation (say 3*a*b over gf(3)), unlike over the rationals
+    for names, (total, col) in totals.items():
+        if total == field.zero():
+            raise ParseError(
+                f"coefficient of {'*'.join(names)} is zero in {field.name()}", line_no, col)
 
     first = Path(quiver, arrows=parsed_terms[0][1])
     for _, names in parsed_terms[1:]:
@@ -311,15 +320,6 @@ def _parse_relation(quiver, field, expr, line_no, col0):
         if (p.source, p.target) != (first.source, first.target):
             raise ParseError("non-parallel summands in a relation", line_no, col0)
     return RelationElement(quiver, tuple(parsed_terms))
-
-
-def _check_coefficient_magnitudes(pres):
-    # Over GF(p) the integer coefficients of the input must be smaller than
-    # p, otherwise distinct input coefficients could collide.
-    f = pres.field
-    if isinstance(f, PrimeField):
-        # coefficients were already reduced; nothing further to check here
-        return
 
 
 def serialize_presentation(pres: Presentation) -> str:
@@ -448,15 +448,6 @@ def quiver_isomorphism(q1: Quiver, q2: Quiver, extra_matrices=None):
 
 # ---------------------------------------------------------------------------
 # Fomin-Zelevinsky mutation (on skew-symmetric integer exchange matrices)
-
-
-def _b_matrix(q: Quiver):
-    counts = q.count_matrix()
-    n = len(q.vertices)
-    for i in range(n):
-        if counts[i, i]:
-            raise MutationError(f"loop at vertex {q.vertices[i]}")
-    return counts - counts.T
 
 
 def _quiver_from_b(b, vertices):

@@ -59,9 +59,6 @@ class Module:
     def total_dim(self):
         return sum(self.dims)
 
-    def dim_vector(self):
-        return self.dims
-
     def offsets(self):
         off = []
         acc = 0
@@ -243,20 +240,6 @@ def identity_map(m: Module) -> ModuleMap:
     return ModuleMap(m, m, [Matrix.identity(f, d) for d in m.dims])
 
 
-def map_from_flat(m: Module, n: Module, flat) -> ModuleMap:
-    f = m.algebra.field
-    blocks = []
-    pos = 0
-    for v in range(len(m.dims)):
-        r, c = n.dims[v], m.dims[v]
-        data = []
-        for i in range(r):
-            data.append(list(flat[pos:pos + c]))
-            pos += c
-        blocks.append(Matrix(f, data, r, c))
-    return ModuleMap(m, n, blocks)
-
-
 # ---------------------------------------------------------------------------
 # basic modules
 
@@ -277,8 +260,20 @@ def projective_basis_indices(a: BasedAlgebra, v):
             per_vertex[a.target[k]].append(k)
     return per_vertex
 
+
 def projective(a: BasedAlgebra, v) -> Module:
-    """P(v) = e_v A with action by right multiplication."""
+    """P(v) = e_v A with action by right multiplication.
+
+    Built once per algebra and vertex; modules are never mutated, so every
+    caller shares the one instance.
+    """
+    vi = a.vertex_index(v)
+    if vi not in a._projectives:
+        a._projectives[vi] = _build_projective(a, v)
+    return a._projectives[vi]
+
+
+def _build_projective(a: BasedAlgebra, v) -> Module:
     f = a.field
     per_vertex = projective_basis_indices(a, v)
     dims = [len(lst) for lst in per_vertex]
@@ -617,10 +612,6 @@ def radical_of(m: Module) -> Module:
     return sub
 
 
-def radical_embedding(m: Module):
-    return submodule_from_spans(m, radical_spans(m), label=f"rad {m.label}")
-
-
 def top_of(m: Module) -> Module:
     quot, _ = quotient_module(m, radical_spans(m), label=f"top {m.label}")
     return quot
@@ -707,25 +698,41 @@ def projective_sum(a: BasedAlgebra, verts, label=None) -> ProjectiveSum:
 def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
     """The module map out of the projective sum sending the c-th summand's
     generator (the idempotent basis element) to gen_images[c] (a coordinate
-    vector in target at the summand's vertex)."""
+    vector in target at the summand's vertex).
+
+    The image of b_k is the generator pushed through the arrow words of
+    b_k's basis expression, one arrow matrix at a time; the image of each
+    word prefix is computed once per generator.  Basis expressions are
+    graded, so every word is a path from the summand's vertex to the
+    target vertex of b_k.
+    """
     a = psum.algebra
     f = a.field
+    z = f.zero()
     m = psum.module
-    blocks = [Matrix.zeros(f, target.dims[w], m.dims[w]) for w in range(len(m.dims))]
-    actions = target.basis_action()
-    toff = target.offsets()
-    T = target.total_dim
+    nv = len(a.vertices)
+    blocks = [Matrix.zeros(f, target.dims[w], m.dims[w]) for w in range(nv)]
+    exprs = a.basis_expressions()
+    reps = a.arrow_reps
+    offsets = [psum.summand_offsets(w) for w in range(nv)]
     for c, v in enumerate(psum.verts):
-        gvec = [f.zero()] * T
-        for jj, x in enumerate(gen_images[c]):
-            gvec[toff[v] + jj] = x
+        images = {(): list(gen_images[c])}  # arrow word -> image of the generator
+
+        def image(word):
+            if word not in images:
+                arrow = reps[word[-1]].name
+                images[word] = target.mats[arrow].apply(image(word[:-1]))
+            return images[word]
+
         per_vertex = projective_basis_indices(a, a.vertices[v])
-        for w in range(len(a.vertices)):
-            off, _ = psum.summand_offsets(w)[c]
+        for w in range(nv):
+            off, _ = offsets[w][c]
+            blk = blocks[w].data
             for pos, k in enumerate(per_vertex[w]):
-                col = actions[k].apply(gvec)  # generator acted on by b_k
-                for i in range(target.dims[w]):
-                    blocks[w].data[i][off + pos] = col[toff[w] + i]
+                for coeff, _, word in exprs[k]:
+                    for i, x in enumerate(image(word)):
+                        if x != z:
+                            blk[i][off + pos] = f.add(blk[i][off + pos], f.mul(coeff, x))
     return ModuleMap(m, target, blocks)
 
 

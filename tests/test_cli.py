@@ -179,3 +179,13 @@ def test_module_json_file_argument(capsys, tmp_path):
     code, out, _ = run(capsys, "tau", _fixture("d4_clustertilted.q"),
                        "@" + str(mpath))
     assert code == 0 and "[0, 0, 0, 0]" in out  # translate of a projective
+
+
+def test_decomposition_error_is_a_domain_error(capsys, tmp_path):
+    # over GF(3) the trace-form radical cannot certify the summands of
+    # P(1)+P(1) for k[x]/(x^3), so decomposition stops with an error
+    p = tmp_path / "loop.q"
+    p.write_text("field: gf(3)\nvertices: 1\narrows: x: 1 -> 1\nrelations: x*x*x\n")
+    code, out, err = run(capsys, "extend", str(p), "P(1)+P(1)")
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

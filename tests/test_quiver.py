@@ -69,6 +69,21 @@ def test_parse_error_positions():
             "field: rational\nvertices: 1 2\narrows: a: 1 -> 2\nrelations: a\n")
 
 
+def test_coefficient_zero_in_field_rejected():
+    text = ("field: {}\nvertices: 1 2 3\narrows: a: 1 -> 2, b: 2 -> 3\n"
+            "relations: 3*a*b\n")
+    with pytest.raises(ParseError, match="a\\*b is zero in gf\\(3\\)") as exc:
+        parse_presentation(text.format("gf(3)"))
+    assert (exc.value.line, exc.value.col) == (4, 12)
+    for zero in ["0*a*b", "a*b + 2*a*b", "2*a*b - a*b - a*b"]:
+        with pytest.raises(ParseError, match="zero"):
+            parse_presentation(text.format("gf(3)").replace("3*a*b", zero))
+    with pytest.raises(ParseError, match="zero in rational"):
+        parse_presentation(text.format("rational").replace("3*a*b", "a*b - a*b"))
+    (coeff, names), = parse_presentation(text.format("gf(5)")).relations[0].terms
+    assert coeff == 3 and names == ("a", "b")
+
+
 def test_roundtrip_fixtures():
     for name in ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
                  "d5_clustertilted.q", "a31_clustertilted.q",

@@ -201,3 +201,116 @@ def test_zero_module_edges(alg_b):
     assert p0.module.is_zero() and p1.module.is_zero()
     assert hom_basis(z, projective(alg_b, "1")) == []
     assert loewy_label(z) == "0"
+
+
+# ---------------------------------------------------------------------------
+# projective covers against the total-space action reference
+
+
+FINITE_FIXTURES = ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
+                   "d5_clustertilted.q"]
+
+
+def _fixture_over(name, field):
+    from quiverkit.algebra import build_algebra
+    from quiverkit.cli import _load_presentation, fixture_path
+    a = build_algebra(_load_presentation(fixture_path(name), field))
+    assert a.field.name() == field
+    return a
+
+
+def _reference_cover_blocks(psum, target, epi):
+    """The blocks of the map out of psum agreeing with epi on the summands'
+    generators, built from the total-space action matrices of target."""
+    from quiverkit.repmod import projective_basis_indices
+    a = psum.algebra
+    f = a.field
+    actions = target.basis_action()
+    toff = target.offsets()
+    blocks = [[[f.zero()] * psum.module.dims[w] for _ in range(target.dims[w])]
+              for w in range(len(a.vertices))]
+    for c, v in enumerate(psum.verts):
+        per_vertex = projective_basis_indices(a, a.vertices[v])
+        gen_col = psum.summand_offsets(v)[c][0] + per_vertex[v].index(a.idempotents[v])
+        gvec = [f.zero()] * target.total_dim
+        gvec[toff[v]:toff[v] + target.dims[v]] = epi.blocks[v].column(gen_col)
+        for w in range(len(a.vertices)):
+            off = psum.summand_offsets(w)[c][0]
+            for pos, k in enumerate(per_vertex[w]):
+                col = actions[k].apply(gvec)
+                for i in range(target.dims[w]):
+                    blocks[w][i][off + pos] = col[toff[w] + i]
+    return blocks
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_projective_cover_matches_basis_action_reference(name, field):
+    from quiverkit.arquiver import knit
+    from quiverkit.repmod import kernel_of
+    a = _fixture_over(name, field)
+    nodes = knit(a, 60).nodes
+    assert nodes
+    # the duals live over the opposite algebra, whose basis expressions are
+    # solved for from the structure constants, not read off a path basis
+    for m in list(nodes) + [dual_module(n) for n in nodes]:
+        psum, epi = projective_cover(m)
+        assert [b.data for b in epi.blocks] == _reference_cover_blocks(psum, m, epi)
+        ker, _ = kernel_of(epi)
+        if not ker.is_zero():
+            psum1, cover1 = projective_cover(ker)
+            assert [b.data for b in cover1.blocks] == \
+                _reference_cover_blocks(psum1, ker, cover1)
+
+
+def _rebased_arrows(a):
+    """The same algebra with arrow representatives a+b, a-b for each pair of
+    parallel arrows a, b and 2c for every other arrow c, so that basis
+    expressions become combinations of several words with coefficients."""
+    from quiverkit.algebra import ArrowRep, BasedAlgebra
+    f = a.field
+    reps = list(a.arrow_reps)
+    out = []
+    while reps:
+        r = reps.pop(0)
+        twin = next((t for t in reps if (t.source, t.target) == (r.source, r.target)), None)
+        if twin is None:
+            out.append(ArrowRep(r.name, r.source, r.target,
+                                tuple(f.add(x, x) for x in r.vector)))
+            continue
+        reps.remove(twin)
+        out.append(ArrowRep(r.name, r.source, r.target,
+                            tuple(map(f.add, r.vector, twin.vector))))
+        out.append(ArrowRep(twin.name, r.source, r.target,
+                            tuple(map(f.sub, r.vector, twin.vector))))
+    return BasedAlgebra(f, a.vertices, a.labels, a.source, a.target,
+                        a.idempotents, a.radical, a.mult, out)
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
+def test_projective_cover_reference_with_multiterm_expressions(field):
+    from quiverkit.algebra import build_algebra
+    from quiverkit.arquiver import knit
+    from quiverkit.quiver import parse_presentation
+    a = _rebased_arrows(build_algebra(parse_presentation(
+        f"field: {field}\nvertices: 1 2 3\n"
+        "arrows: a: 1 -> 2, b: 1 -> 2, c: 2 -> 3\nrelations: a*c\n")))
+    assert any(len(terms) > 1 for terms in a.basis_expressions())
+    nodes = knit(a, 12).nodes
+    assert len(nodes) >= 6
+    for m in nodes:
+        psum, epi = projective_cover(m)
+        assert [b.data for b in epi.blocks] == _reference_cover_blocks(psum, m, epi)
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(3)"])
+def test_projective_built_once_per_algebra(field):
+    from quiverkit.repmod import _build_projective
+    a = _fixture_over("d5_clustertilted.q", field)
+    for alg in (a, a.opposite()):
+        for v in alg.vertices:
+            p = projective(alg, v)
+            assert projective(alg, v) is p
+            fresh = _build_projective(alg, v)
+            assert fresh is not p
+            assert fresh.key() == p.key() and fresh.label == p.label
