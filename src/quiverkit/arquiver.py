@@ -27,6 +27,7 @@ from quiverkit.linalg import Matrix, SpanTracker
 from quiverkit.repmod import (
     Module,
     decompose,
+    end_radical_basis,
     hom_basis,
     injective,
     is_isomorphic,
@@ -176,23 +177,6 @@ class ARFragment:
         return "\n".join(lines) + "\n"
 
 
-def _end_radical_maps(ends, field):
-    """A basis of the radical of End(M) (the trace-form kernel)."""
-    if not ends:
-        return []
-    n = len(ends)
-    gram = Matrix.zeros(field, n, n)
-    for i in range(n):
-        for j in range(n):
-            gram.data[i][j] = ends[i].compose(ends[j]).trace()
-    from quiverkit.homology import combine_maps
-    from quiverkit.linalg import kernel_basis
-    out = []
-    for coords in kernel_basis(gram):
-        out.append(combine_maps(coords, ends, ends[0].source, ends[0].target))
-    return out
-
-
 def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     """Gather AR-quiver components touching the projectives, up to node_cap.
 
@@ -325,11 +309,9 @@ def _irreducible_arrows(a, nodes):
         for j in range(n):
             if i == j:
                 ends = hom_basis(nodes[i], nodes[i])
-                rad_bases[(i, j)] = _end_radical_maps(ends, f)
+                rad_bases[(i, j)] = end_radical_basis(ends)
             else:
                 rad_bases[(i, j)] = hom_basis(nodes[i], nodes[j])
-    if f.kind == "prime":
-        return _irreducible_arrows_prime(a, nodes, rad_bases)
     arrows = {}
     for i in range(n):
         for j in range(n):
@@ -347,72 +329,6 @@ def _irreducible_arrows(a, nodes):
             if mult > 0:
                 arrows[(i, j)] = mult
     return arrows
-
-
-def _irreducible_arrows_prime(a, nodes, rad_bases):
-    import numpy as np
-
-    p = a.field.p
-    n = len(nodes)
-    nverts = len(a.vertices)
-    np_blocks = {}
-    for key, maps in rad_bases.items():
-        np_blocks[key] = [
-            [np.array(b.data, dtype=np.int64).reshape(b.rows, b.cols) for b in h.blocks]
-            for h in maps
-        ]
-    arrows = {}
-    for i in range(n):
-        for j in range(n):
-            base = rad_bases[(i, j)]
-            if not base:
-                continue
-            dim_rad = len(base)
-            comps = []
-            for z in range(n):
-                gs = np_blocks[(z, j)]
-                hs = np_blocks[(i, z)]
-                for g in gs:
-                    for h in hs:
-                        flat = np.concatenate([
-                            ((g[v] @ h[v]) % p).ravel() if h[v].size and g[v].size
-                            else np.zeros(g[v].shape[0] * h[v].shape[1], dtype=np.int64)
-                            for v in range(nverts)
-                        ]) if nverts else np.zeros(0, dtype=np.int64)
-                        comps.append(flat)
-            if comps:
-                mat = np.vstack(comps) % p
-                rank = _rank_prime(mat, p)
-            else:
-                rank = 0
-            mult = dim_rad - rank
-            if mult > 0:
-                arrows[(i, j)] = mult
-    return arrows
-
-
-def _rank_prime(mat, p):
-    import numpy as np
-
-    a = mat % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        below = a[r + 1:, c].copy()
-        mask = np.nonzero(below)[0]
-        if mask.size:
-            a[r + 1 + mask] = (a[r + 1 + mask] - np.outer(below[mask], a[r])) % p
-        r += 1
-    return r
 
 
 def _structural_arrows(a, nodes, projective_at, injective_at, tau_links):

@@ -388,7 +388,7 @@ def _dispatch(args):
             if idx is None:
                 raise ARQuiverError("no local slice contains every summand")
         sigma = [frag.nodes[i] for i in idx]
-        bprime, report = extend_cluster_tilted(a, sigma, m, frag=frag)
+        bprime, report = extend_cluster_tilted(a, sigma, m, frag=frag, node_cap=args.cap)
         payload = {"algebra": _algebra_summary(bprime), "report": report.to_json()}
         _emit(args, payload,
               _algebra_text(bprime) + "\nreport: " + json.dumps(report.to_json()))

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker, mat_add, mat_scale
+from quiverkit.linalg import Matrix, SpanTracker
 from quiverkit.repmod import (
     Module,
     ModuleMap,
     ProjectiveSum,
     cokernel_of,
+    combine_maps,
     dual_module,
     hom_basis,
     hom_coords,
@@ -30,19 +31,6 @@ from quiverkit.repmod import (
     simple,
     zero_module,
 )
-
-
-def combine_maps(coords, basis, source, target):
-    """The linear combination sum(coords[t] * basis[t]) as a ModuleMap."""
-    f = source.algebra.field
-    acc = [Matrix.zeros(f, target.dims[v], source.dims[v])
-           for v in range(len(source.dims))]
-    for c, h in zip(coords, basis):
-        if c == f.zero():
-            continue
-        acc = [mat_add(acc[v], mat_scale(c, h.blocks[v]))
-               for v in range(len(acc))]
-    return ModuleMap(source, target, acc)
 
 
 class HomologyError(Exception):

@@ -2,10 +2,15 @@
 
 Scalars are `fractions.Fraction` over the rationals and plain python ints
 in [0, p) over GF(p).  All results are exact; there are no tolerances
-anywhere.  Over a prime field the elimination routines run vectorised on
-int64 numpy arrays (p**2 and row-length sums stay far below 2**63 at the
-matrix sizes this package handles); over the rationals they run on
-Fraction entries.
+anywhere.
+
+Matrices are lists of row lists in both fields, and one Gauss-Jordan
+elimination serves `rref`, `rank`, `kernel_basis`, `solve` and
+`SpanTracker`.  Its single row step, row -= c * pivot_row, visits only the
+nonzero columns of the pivot row, and uses nothing of the field but `inv`,
+`sub` and `mul`.  It tests entries for zero by truth value, so GF(p)
+entries must stay reduced into [0, p): `from_int` and `scalar_from_str`
+reduce every scalar that enters, and the field operations keep it so.
 
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
 composite "first f, then g" has matrix g @ f.
@@ -15,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 
 class LinalgError(Exception):
@@ -34,16 +37,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class RationalField:
     """The field of rational numbers, scalars are Fraction."""
 
-    kind = "rational"
-
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n: int):
         return Fraction(n)
@@ -86,8 +90,6 @@ class RationalField:
 
 class PrimeField:
     """GF(p) for a prime p, scalars are ints reduced into [0, p)."""
-
-    kind = "prime"
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -165,6 +167,13 @@ class Matrix:
                 raise LinalgError("ragged matrix data")
 
     @classmethod
+    def wrap(cls, field, data, rows, cols):
+        """A matrix that takes ownership of the row lists `data`, uncopied."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        return m
+
+    @classmethod
     def zeros(cls, field, rows, cols):
         z = field.zero()
         return cls(field, [[z] * cols for _ in range(rows)], rows, cols)
@@ -206,8 +215,7 @@ class Matrix:
         return t
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other):
         return (
@@ -232,17 +240,12 @@ class Matrix:
         if len(vec) != self.cols:
             raise LinalgError("vector length mismatch")
         f = self.field
-        if f.kind == "prime" and self.rows * self.cols > 64:
-            a = np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
-            v = np.array(vec, dtype=np.int64)
-            return [int(x) for x in (a @ v) % f.p]
+        vsupp = _support(vec)
         out = []
-        z = f.zero()
-        for i in range(self.rows):
-            acc = z
-            row = self.data[i]
-            for j, x in enumerate(vec):
-                if x != z and row[j] != z:
+        for row in self.data:
+            acc = f.zero()
+            for j, x in vsupp:
+                if row[j]:
                     acc = f.add(acc, f.mul(row[j], x))
             out.append(acc)
         return out
@@ -252,24 +255,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise LinalgError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
-    if f.kind == "prime" and a.rows * b.cols * a.cols > 64:
-        am = np.array(a.data, dtype=np.int64).reshape(a.rows, a.cols)
-        bm = np.array(b.data, dtype=np.int64).reshape(b.rows, b.cols)
-        cm = (am @ bm) % f.p
-        return Matrix(f, [[int(x) for x in row] for row in cm.reshape(a.rows, b.cols)], a.rows, b.cols)
     out = Matrix.zeros(f, a.rows, b.cols)
-    z = f.zero()
-    for i in range(a.rows):
-        arow = a.data[i]
-        orow = out.data[i]
-        for k in range(a.cols):
-            x = arow[k]
-            if x == z:
-                continue
-            brow = b.data[k]
-            for j in range(b.cols):
-                y = brow[j]
-                if y != z:
+    bsupp = [_support(row) for row in b.data]
+    for arow, orow in zip(a.data, out.data):
+        for x, supp in zip(arow, bsupp):
+            if x:
+                for j, y in supp:
                     orow[j] = f.add(orow[j], f.mul(x, y))
     return out
 
@@ -301,69 +292,61 @@ class RrefResult:
     pivot_columns: list
 
 
-def _rref_prime(data, rows, cols, p):
-    a = np.array(data, dtype=np.int64).reshape(rows, cols) % p
+def _support(row):
+    """The (column, entry) pairs of a row's nonzero entries."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _subtract(f, row, c, support):
+    """The row step row -= c * pivot_row, in place, where `support` is
+    `_support(pivot_row)`: columns where the pivot row is zero are skipped."""
+    sub, mul = f.sub, f.mul
+    for j, x in support:
+        row[j] = sub(row[j], mul(c, x))
+
+
+def _normalize(f, row, j):
+    """Scale row in place so that row[j] == 1; returns its new support."""
+    inv = f.inv(row[j])
+    support = [(k, f.mul(inv, x)) for k, x in _support(row)]
+    for k, x in support:
+        row[k] = x
+    return support
+
+
+def _eliminate(a, cols, f):
+    """Gauss-Jordan elimination of the row lists `a`, in place, into reduced
+    row-echelon form; returns the pivot columns."""
+    rows = len(a)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = np.nonzero(col)[0]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return [[int(x) for x in row] for row in a], pivots
-
-
-def _rref_generic(data, rows, cols, f):
-    a = [list(row) for row in data]
-    z = f.zero()
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
         for i in range(r, rows):
-            if a[i][c] != z:
-                pivot_row = i
+            if a[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = f.inv(a[r][c])
-        if inv != f.one():
-            a[r] = [f.mul(inv, x) for x in a[r]]
+        a[r], a[i] = a[i], a[r]
+        support = _normalize(f, a[r], c)
         for i in range(rows):
-            if i != r and a[i][c] != z:
-                factor = a[i][c]
-                arow = a[r]
-                a[i] = [f.sub(a[i][j], f.mul(factor, arow[j])) for j in range(cols)]
+            x = a[i][c]
+            if x and i != r:
+                _subtract(f, a[i], x, support)
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form; returns (reduced, rank, pivot columns)."""
-    if m.rows == 0 or m.cols == 0:
-        return RrefResult(m.copy(), 0, [])
-    if m.field.kind == "prime":
-        data, pivots = _rref_prime(m.data, m.rows, m.cols, m.field.p)
-    else:
-        data, pivots = _rref_generic(m.data, m.rows, m.cols, m.field)
-    return RrefResult(Matrix(m.field, data, m.rows, m.cols), len(pivots), pivots)
+    """Reduced row-echelon form; returns (reduced, rank, pivot columns).
+
+    The elimination runs on one copy of m's rows, which becomes the result.
+    """
+    work = [list(row) for row in m.data]
+    pivots = _eliminate(work, m.cols, m.field)
+    return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), len(pivots), pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -402,7 +385,7 @@ def solve(m: Matrix, b: list):
     if len(b) != m.rows:
         raise LinalgError("right-hand side length mismatch")
     f = m.field
-    aug = Matrix(f, [m.data[i] + [b[i]] for i in range(m.rows)], m.rows, m.cols + 1)
+    aug = Matrix.wrap(f, [m.data[i] + [b[i]] for i in range(m.rows)], m.rows, m.cols + 1)
     res = rref(aug)
     if m.cols in res.pivot_columns:
         return None
@@ -445,38 +428,33 @@ class SpanTracker:
 
     def reduce(self, vec):
         f = self.field
-        z = f.zero()
         v = list(vec)
-        for c, ri in sorted(self.pivot_of_col.items()):
-            if v[c] != z:
-                factor = v[c]
-                row = self.rows[ri]
-                v = [f.sub(v[j], f.mul(factor, row[j])) for j in range(self.ncols)]
+        # each row is zero in every other row's pivot column, so the order
+        # of the steps does not matter
+        for c, ri in self.pivot_of_col.items():
+            x = v[c]
+            if x:
+                _subtract(f, v, x, _support(self.rows[ri]))
         return v
 
     def contains(self, vec):
-        z = self.field.zero()
-        return all(x == z for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def add(self, vec) -> bool:
         f = self.field
-        z = f.zero()
         v = self.reduce(vec)
-        pivot = None
-        for j in range(self.ncols):
-            if v[j] != z:
-                pivot = j
-                break
+        pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        inv = f.inv(v[pivot])
-        if inv != f.one():
-            v = [f.mul(inv, x) for x in v]
-        # back-substitute into existing rows to stay fully reduced
+        support = _normalize(f, v, pivot)
+        # back-substitute into existing rows to stay fully reduced; a row
+        # is replaced, not changed in place, as callers may hold it
         for ri, row in enumerate(self.rows):
-            if row[pivot] != z:
-                factor = row[pivot]
-                self.rows[ri] = [f.sub(row[j], f.mul(factor, v[j])) for j in range(self.ncols)]
+            x = row[pivot]
+            if x:
+                row = list(row)
+                _subtract(f, row, x, support)
+                self.rows[ri] = row
         self.pivot_of_col[pivot] = len(self.rows)
         self.rows.append(v)
         return True

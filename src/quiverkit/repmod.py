@@ -16,12 +16,12 @@ from quiverkit.linalg import (
     Matrix,
     SpanTracker,
     kernel_basis,
+    mat_add,
+    mat_scale,
     matmul,
     rref,
     solve,
 )
-
-import numpy as np
 
 
 class ModuleError(Exception):
@@ -229,6 +229,19 @@ class ModuleMap:
         return acc
 
 
+def combine_maps(coords, basis, source, target):
+    """The linear combination sum(coords[t] * basis[t]) as a ModuleMap."""
+    f = source.algebra.field
+    acc = [Matrix.zeros(f, target.dims[v], source.dims[v])
+           for v in range(len(source.dims))]
+    for c, h in zip(coords, basis):
+        if c == f.zero():
+            continue
+        acc = [mat_add(acc[v], mat_scale(c, h.blocks[v]))
+               for v in range(len(acc))]
+    return ModuleMap(source, target, acc)
+
+
 def zero_map(m: Module, n: Module) -> ModuleMap:
     f = m.algebra.field
     return ModuleMap(m, n, [Matrix.zeros(f, n.dims[v], m.dims[v])
@@ -343,23 +356,6 @@ def hom_basis(m: Module, n: Module):
     f = a.field
     if m.total_dim == 0 or n.total_dim == 0:
         return []
-    if f.kind == "prime":
-        return _hom_basis_prime(m, n)
-    return _hom_basis_generic(m, n)
-
-
-def _unknown_layout(m, n):
-    offs = []
-    pos = 0
-    for v in range(len(m.dims)):
-        offs.append(pos)
-        pos += n.dims[v] * m.dims[v]
-    return offs, pos
-
-
-def _hom_basis_generic(m, n):
-    a = m.algebra
-    f = a.field
     offs, total = _unknown_layout(m, n)
     rows = []
     z = f.zero()
@@ -391,71 +387,18 @@ def _hom_basis_generic(m, n):
             v[k] = f.one()
             vecs.append(v)
     else:
-        vecs = kernel_basis(Matrix(f, rows, len(rows), total))
+        # the system matrix owns the rows: one copy besides rref's own
+        vecs = kernel_basis(Matrix.wrap(f, rows, len(rows), total))
     return [_unflatten_hom(m, n, v) for v in vecs]
 
 
-def _hom_basis_prime(m, n):
-    a = m.algebra
-    p = a.field.p
-    offs, total = _unknown_layout(m, n)
-    blocks = []
-    for rep in a.arrow_reps:
-        i, j = rep.source, rep.target
-        di, dj = m.dims[i], m.dims[j]
-        ei, ej = n.dims[i], n.dims[j]
-        if di == 0 or ej == 0:
-            continue
-        A = np.array(m.mats[rep.name].data, dtype=np.int64).reshape(dj, di)
-        B = np.array(n.mats[rep.name].data, dtype=np.int64).reshape(ej, ei)
-        rows = np.zeros((ej * di, total), dtype=np.int64)
-        if dj:
-            rows[:, offs[j]:offs[j] + ej * dj] = np.kron(np.eye(ej, dtype=np.int64), A.T)
-        if ei:
-            rows[:, offs[i]:offs[i] + ei * di] -= np.kron(B, np.eye(di, dtype=np.int64))
-        blocks.append(rows % p)
-    if not blocks:
-        basis = np.eye(total, dtype=np.int64)
-        vecs = [list(map(int, basis[k])) for k in range(total)]
-    else:
-        big = np.vstack(blocks)
-        vecs = _nullspace_prime(big, p)
-    return [_unflatten_hom(m, n, v) for v in vecs]
-
-
-def _nullspace_prime(a, p):
-    a = a % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = np.nonzero(col)[0]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    out = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            if a[rr, fc]:
-                v[pc] = (-a[rr, fc]) % p
-        out.append([int(x) for x in v])
-    return out
+def _unknown_layout(m, n):
+    offs = []
+    pos = 0
+    for v in range(len(m.dims)):
+        offs.append(pos)
+        pos += n.dims[v] * m.dims[v]
+    return offs, pos
 
 
 def _unflatten_hom(m, n, flat):
@@ -776,18 +719,20 @@ def min_proj_presentation(m: Module):
 # isomorphism and decomposition
 
 
-def _end_radical_dim(ends):
-    """Dimension of the Jacobson radical of End(M) via the trace form
-    (valid in characteristic zero and for p much larger than dim End)."""
+def end_radical_basis(ends):
+    """A basis of the Jacobson radical of End(M), given a basis `ends` of
+    End(M): the kernel of the trace form (valid in characteristic zero and
+    for p much larger than dim End)."""
     if not ends:
-        return 0
+        return []
     f = ends[0].source.algebra.field
     n = len(ends)
     gram = Matrix.zeros(f, n, n)
     for i in range(n):
         for j in range(n):
             gram.data[i][j] = ends[i].compose(ends[j]).trace()
-    return n - rref(gram).rank
+    m = ends[0].source
+    return [combine_maps(coords, ends, m, m) for coords in kernel_basis(gram)]
 
 
 def _indec_iso(m: Module, n: Module) -> bool:
@@ -824,28 +769,19 @@ def _indecomposable_pieces(m: Module):
     ends = hom_basis(m, m)
     if len(ends) == 1:
         return [m]
+    f = m.algebra.field
+    one = f.one()
     candidates = list(ends)
     for i in range(len(ends)):
         for j in range(i + 1, len(ends)):
-            f = m.algebra.field
-            plus = ModuleMap(m, m, [
-                Matrix(f, [[f.add(ends[i].blocks[v].data[r][c], ends[j].blocks[v].data[r][c])
-                            for c in range(ends[i].blocks[v].cols)]
-                           for r in range(ends[i].blocks[v].rows)])
-                for v in range(len(m.dims))])
-            minus = ModuleMap(m, m, [
-                Matrix(f, [[f.sub(ends[i].blocks[v].data[r][c], ends[j].blocks[v].data[r][c])
-                            for c in range(ends[i].blocks[v].cols)]
-                           for r in range(ends[i].blocks[v].rows)])
-                for v in range(len(m.dims))])
-            candidates.append(plus)
-            candidates.append(minus)
+            for c in (one, f.neg(one)):
+                candidates.append(combine_maps((one, c), (ends[i], ends[j]), m, m))
     for cand in candidates:
         split = _fitting_split(m, cand)
         if split is not None:
             a, b = split
             return _indecomposable_pieces(a) + _indecomposable_pieces(b)
-    if len(ends) - _end_radical_dim(ends) == 1:
+    if len(ends) - len(end_radical_basis(ends)) == 1:
         return [m]
     raise DecompositionError(
         "could not certify indecomposability: End/rad has dimension > 1 "

@@ -315,3 +315,28 @@ def test_slice_to_local_slice_to_section_monotone(alg_c, frag_c):
     assert check_slice(alg_c, frag_c, idx).holds
     assert check_local_slice(alg_c, frag_c, idx).holds
     assert check_left_section(alg_c, frag_c, idx).holds
+
+
+_A6 = ("vertices: 1 2 3 4 5 6\n"
+       "arrows: a1: 1 -> 2, a2: 2 -> 3, a3: 3 -> 4, a4: 4 -> 5, a5: 5 -> 6\n")
+
+
+def _knit_over(name, field):
+    from quiverkit.cli import _load_presentation, fixture_path
+    if name == "A6":
+        pres = parse_presentation(f"field: {field}\n" + _A6)
+    else:
+        pres = _load_presentation(fixture_path(name), field)
+    frag = knit(build_algebra(pres), 60)
+    arrows = sorted((frag.nodes[i].dims, frag.nodes[j].dims, m)
+                    for (i, j), m in frag.arrows.items() if m > 0)
+    return (frag.complete, len(frag.nodes),
+            sorted(n.dims for n in frag.nodes), arrows)
+
+
+@pytest.mark.parametrize("name", ["d4_clustertilted.q", "d4_tilted.q",
+                                  "d4_tilted_ext_s2.q", "d5_clustertilted.q", "A6"])
+def test_knit_agrees_over_rationals_and_large_prime(name):
+    complete, count, dims, arrows = _knit_over(name, "rational")
+    assert complete
+    assert _knit_over(name, "gf(32003)") == (complete, count, dims, arrows)

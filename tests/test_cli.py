@@ -137,6 +137,15 @@ def test_extend_verb(capsys):
     assert data["report"]["local_slice_passes"] is True
 
 
+def test_extend_cap_reaches_second_knit(capsys):
+    # B' has 20 indecomposables, so a 12-node cap leaves its knit open
+    code, out, _ = run(capsys, "--cap", "12", "--format", "json", "extend",
+                       _fixture("d4_clustertilted.q"), "S(2)")
+    data = json.loads(out)
+    assert code == 0
+    assert data["report"]["local_slice_passes"] is None
+
+
 def test_find_local_slices_verb(capsys):
     code, out, _ = run(capsys, "find-local-slices",
                        _fixture("d4_clustertilted.q"), "P(1)")
