@@ -108,10 +108,6 @@ class BasedAlgebra:
                         out[k] = f.add(out[k], f.mul(c, p))
         return out
 
-    def basis_by_grade(self, i, j):
-        """Basis indices with source vertex-index i and target j."""
-        return [k for k in range(self.dim) if self.source[k] == i and self.target[k] == j]
-
     def basis_expressions(self):
         """For each basis element, terms (coeff, vertex_index, arrow_rep indices)
         expressing it as a combination of arrow products."""
@@ -211,6 +207,7 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
     gens = []  # list of (terms: list[(coeff, arrow index tuple)])
     for rel in pres.relations:
         gens.append([(c, tuple(aidx[n] for n in names)) for c, names in rel.terms])
+    _reject_unbounded_paths(arrows, asrc, atgt, {w for g in gens for _, w in g})
     gen_minlen = [min(len(w) for _, w in g) for g in gens]
     gen_maxlen = [max(len(w) for _, w in g) for g in gens]
     margin = max((gen_maxlen[i] - gen_minlen[i] for i in range(len(gens))), default=0)
@@ -389,6 +386,53 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
         exprs.append(((f.one(), s, tuple(w)),))
     alg._expressions = exprs
     return alg
+
+
+def _reject_unbounded_paths(arrows, asrc, atgt, terms):
+    """Raise BuildError when arbitrarily long paths avoid every relation term.
+
+    Every element of the ideal is a sum of paths that each contain a term as
+    a subword, so paths containing none are independent modulo the ideal:
+    infinitely many of them mean the algebra is infinite dimensional.  They
+    exist exactly when the graph of windows has a cycle, which a depth-first
+    search finds.  A window is the last `width` arrows of such a path, one
+    fewer than the longest term, so a window and the next arrow hold every
+    term that could end at that arrow.  Finite-dimensional inputs always
+    pass.
+    """
+    width = max(1, max(map(len, terms), default=0) - 1)
+
+    def successors(window):
+        out = []
+        for ai in range(len(arrows)):
+            word = window + (ai,)
+            if asrc[ai] == atgt[window[-1]] and not any(
+                    word[-n:] in terms for n in range(1, len(word) + 1)):
+                out.append(word[-width:])
+        return out
+
+    windows = [(ai,) for ai in range(len(arrows)) if (ai,) not in terms]
+    for _ in range(width - 1):
+        windows = [w for window in windows for w in successors(window)]
+    state = {}  # window -> True while on the search path, False when done
+    for start in windows:
+        if start in state:
+            continue
+        state[start] = True
+        path = [(start, iter(successors(start)))]
+        while path:
+            nxt = next(path[-1][1], None)
+            if nxt is None:
+                state[path.pop()[0]] = False
+            elif state.get(nxt):
+                on_path = [w for w, _ in path]
+                cycle = on_path[on_path.index(nxt):]
+                witness = "*".join(arrows[w[-1]].name for w in cycle)
+                raise BuildError(f"presentation is not finite dimensional: the "
+                                 f"cycle {witness} contains no relation term")
+            elif nxt not in state:
+                state[nxt] = True
+                path.append((nxt, iter(successors(nxt))))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from quiverkit.algebra import (
     opposite_algebra,
 )
 from quiverkit.homology import global_dim, lift_chain_map, min_resolution
-from quiverkit.linalg import Matrix, SpanTracker
+from quiverkit.linalg import Matrix, SpanTracker, solve
 from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
     Module,
@@ -32,13 +32,13 @@ from quiverkit.repmod import (
     decompose,
     direct_sum,
     dual_module,
-    hom_basis,
-    hom_coords,
     injective,
     is_isomorphic,
     projective,
     projective_basis_indices,
-    radical_spans,
+    projective_sum,
+    psum_map,
+    top_generator_slots,
 )
 
 
@@ -145,20 +145,7 @@ def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
         vec = list(zero_vec)
         vec[:na] = list(r.vector)
         reps.append(ArrowRep(r.name, r.source, r.target, tuple(vec)))
-    rad = radical_spans(m)
-    new_arrow_slots = []
-    for v in range(nverts):
-        d = m.dims[v]
-        if d == 0:
-            continue
-        tr = SpanTracker(d, f)
-        for vecs in rad[v]:
-            tr.add(vecs)
-        for i in range(d):
-            unit = [z] * d
-            unit[i] = f.one()
-            if tr.add(unit):
-                new_arrow_slots.append((v, i))
+    new_arrow_slots = top_generator_slots(m)
     arrow_names = _fresh_names("x", len(new_arrow_slots), set(r.name for r in reps))
     for nm, (v, i) in zip(arrow_names, new_arrow_slots):
         vec = list(zero_vec)
@@ -206,141 +193,114 @@ class Bimodule:
             out[(i, j)] = out.get((i, j), 0) + 1
         return out
 
-    def arrow_block_dims(self):
-        """Dimensions per block of E modulo (rad.E + E.rad): the new-arrow
-        counts of the trivial extension."""
+    def arrow_positions(self):
+        """Basis positions whose unit vectors complete rad.E + E.rad to E:
+        a basis of E/(rad.E + E.rad), the new arrows of the trivial
+        extension."""
         a = self.algebra
         f = a.field
-        if self.dim == 0:
-            return {}
         tr = SpanTracker(self.dim, f)
         for r in a.radical:
             for mat in (self.left[r], self.right[r]):
                 for c in range(mat.cols):
                     tr.add(mat.column(c))
+        return [t for t in range(self.dim)
+                if tr.add([f.one() if i == t else f.zero() for i in range(self.dim)])]
+
+    def arrow_block_dims(self):
+        """Dimensions per block of E modulo (rad.E + E.rad): the new-arrow
+        counts of the trivial extension."""
         out = {}
-        for t in range(self.dim):
-            unit = [f.zero()] * self.dim
-            unit[t] = f.one()
-            if tr.add(unit):
-                key = self.blocks[t]
-                out[key] = out.get(key, 0) + 1
+        for t in self.arrow_positions():
+            out[self.blocks[t]] = out.get(self.blocks[t], 0) + 1
         return out
 
     def act_left(self, algebra_vec, evec):
-        f = self.algebra.field
-        out = [f.zero()] * self.dim
-        for k, c in enumerate(algebra_vec):
-            if c == f.zero():
-                continue
-            img = self.left[k].apply(evec)
-            out = [f.add(out[t], f.mul(c, img[t])) for t in range(self.dim)]
-        return out
+        return _act(self.left, algebra_vec, evec)
 
     def act_right(self, algebra_vec, evec):
-        f = self.algebra.field
-        out = [f.zero()] * self.dim
-        for k, c in enumerate(algebra_vec):
-            if c == f.zero():
-                continue
-            img = self.right[k].apply(evec)
-            out = [f.add(out[t], f.mul(c, img[t])) for t in range(self.dim)]
-        return out
+        return _act(self.right, algebra_vec, evec)
 
 
-def _left_mult_map(a, k, projs):
-    """Left multiplication by basis element k as a map P(target) -> P(source)."""
-    f = a.field
+def _act(mats, algebra_vec, evec):
+    """The action on evec of an algebra element, given the matrices of the
+    basis elements' actions."""
+    f = mats[0].field
+    out = [f.zero()] * len(evec)
+    for k, c in enumerate(algebra_vec):
+        if c == f.zero():
+            continue
+        img = mats[k].apply(evec)
+        out = [f.add(x, f.mul(c, y)) for x, y in zip(out, img)]
+    return out
+
+
+def _left_mult_map(a, k):
+    """Left multiplication by basis element k as a map P(target) -> P(source):
+    the generator of P(target) goes to b_k."""
     s, t = a.source[k], a.target[k]
-    src_mod = projs[t]
-    tgt_mod = projs[s]
-    blocks = []
-    for w in range(len(a.vertices)):
-        from_basis = projective_basis_indices(a, a.vertices[t])[w]
-        to_basis = projective_basis_indices(a, a.vertices[s])[w]
-        mat = Matrix.zeros(f, len(to_basis), len(from_basis))
-        for col, kb in enumerate(from_basis):
-            prod = a.mul_vec(a.unit(k), a.unit(kb))
-            for row, kb2 in enumerate(to_basis):
-                mat.data[row][col] = prod[kb2]
-        blocks.append(mat)
-    return ModuleMap(src_mod, tgt_mod, blocks)
+    at_t = projective_basis_indices(a, a.vertices[s])[t]
+    image = [a.field.one() if kb == k else a.field.zero() for kb in at_t]
+    return psum_map(projective_sum(a, [t]), projective(a, a.vertices[s]), [image])
 
 
 def _dual_right_mult_map(a, k, injs):
-    """D of right multiplication by basis element k: I(target) -> I(source)."""
-    f = a.field
-    s, t = a.source[k], a.target[k]
-    src_mod = injs[t]
-    tgt_mod = injs[s]
-    blocks = []
-    for w in range(len(a.vertices)):
-        cols_basis = a.basis_by_grade(w, t)   # I(t)_w is dual to these
-        rows_basis = a.basis_by_grade(w, s)
-        # phi: e_w A e_s -> e_w A e_t, x -> x * b_k; dual matrix is phi^T
-        phi = Matrix.zeros(f, len(cols_basis), len(rows_basis))
-        for col, kb in enumerate(rows_basis):
-            prod = a.mul_vec(a.unit(kb), a.unit(k))
-            for row, kb2 in enumerate(cols_basis):
-                phi.data[row][col] = prod[kb2]
-        blocks.append(phi.transpose())
-    return ModuleMap(src_mod, tgt_mod, blocks)
+    """D of right multiplication by basis element k: I(target) -> I(source).
+
+    Right multiplication by b_k is left multiplication by b_k over the
+    opposite algebra, between the projectives there that D turns into I(t)
+    and I(s)."""
+    left_op = _left_mult_map(a.opposite(), k)
+    return ModuleMap(injs[a.target[k]], injs[a.source[k]],
+                     [b.transpose() for b in left_op.blocks])
 
 
 class _Ext2Block:
     """Cocycle bookkeeping for one block Ext^2(I(j), P(i)).
 
-    With a resolution no longer than 2, every map out of the second term is
-    a cocycle; representatives are hom-basis elements completing the
+    Maps out of the second resolution term P2 are taken in generator
+    coordinates.  With a resolution no longer than 2, every such map is a
+    cocycle; representatives are the coordinate unit vectors completing the
     boundary span, and `reduce` rewrites any cocycle over them through the
     change-of-basis matrix [boundaries | representatives].
     """
 
-    def __init__(self, a, p2_mod, target, diff2):
-        self.field = a.field
-        self.hom = hom_basis(p2_mod, target) if p2_mod is not None else []
-        self.rep_positions = []
+    def __init__(self, a, res, target):
+        f = a.field
+        self.p2 = res.terms[2] if len(res.terms) > 2 else None
+        self.reps = []
         self._solve_matrix = None
         self._n_boundary = 0
-        if p2_mod is None or not self.hom:
+        nh = sum(target.dims[v] for v in self.p2.verts) if self.p2 else 0
+        if nh == 0:
             return
-        f = self.field
-        nh = len(self.hom)
         tracker = SpanTracker(nh, f)
-        boundary_cols = []
-        if diff2 is not None:
-            # boundaries psi o d2 with psi ranging over Hom(P1, target)
-            for psi in hom_basis(diff2.target, target):
-                coords = hom_coords(self.hom, psi.compose(diff2))
-                if tracker.add(coords):
-                    boundary_cols.append(coords)
+        cols = []
+        # boundaries psi o d2 with psi ranging over Hom(P1, target)
+        for psi in res.terms[1].yoneda_basis(target):
+            coords = self.p2.coordinates(psi.compose(res.diffs[1]))
+            if tracker.add(coords):
+                cols.append(coords)
+        self._n_boundary = len(cols)
         for pos in range(nh):
-            unit = [f.zero()] * nh
-            unit[pos] = f.one()
+            unit = [f.one() if i == pos else f.zero() for i in range(nh)]
             if tracker.add(unit):
-                self.rep_positions.append(pos)
-        self._n_boundary = len(boundary_cols)
-        cols = boundary_cols + [
-            [f.one() if i == pos else f.zero() for i in range(nh)]
-            for pos in self.rep_positions
-        ]
-        self._solve_matrix = Matrix(
-            f, [[cols[j][i] for j in range(len(cols))] for i in range(nh)], nh, len(cols))
+                cols.append(unit)
+                self.reps.append(self.p2.map_with_coordinates(target, unit))
+        self._solve_matrix = Matrix.from_columns(f, cols, nh)
 
     @property
     def dim(self):
-        return len(self.rep_positions)
+        return len(self.reps)
 
     def reduce(self, mmap):
         """Coefficients over this block's representatives of a cocycle map."""
-        f = self.field
-        if not self.hom:
+        if self._solve_matrix is None:
             return []
-        coords = hom_coords(self.hom, mmap)
+        coords = self.p2.coordinates(mmap)
         if coords is None:
             raise ExtensionError("map is not in the hom space of this block")
-        from quiverkit.linalg import solve as lin_solve
-        sol = lin_solve(self._solve_matrix, coords)
+        sol = solve(self._solve_matrix, coords)
         if sol is None:
             raise ExtensionError("cocycle reduction failed")
         return sol[self._n_boundary:]
@@ -369,12 +329,8 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     blocks = {}
     basis = []  # (i, j, position within block)
     for j in range(nverts):
-        res = resolutions[j]
-        p2 = res.term_module(2)
-        d2 = res.diffs[1] if len(res.diffs) >= 2 else None
         for i in range(nverts):
-            blk = _Ext2Block(c, None if p2 is None or p2.is_zero() else p2,
-                             projs[i], d2)
+            blk = _Ext2Block(c, resolutions[j], projs[i])
             blocks[(i, j)] = blk
             for t in range(blk.dim):
                 basis.append((i, j, t))
@@ -391,15 +347,12 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
         s, t = c.source[k], c.target[k]
         lm = Matrix.zeros(f, dimE, dimE)
         if dimE:
-            lam = _left_mult_map(c, k, projs)
+            lam = _left_mult_map(c, k)
             for pos, (i, j, u) in enumerate(basis):
                 if i != t:
                     continue
-                blk = blocks[(i, j)]
-                rep = blk.hom[blk.rep_positions[u]]
-                image = lam.compose(rep)  # P2(I(j)) -> P(s)
-                out_blk = blocks[(s, j)]
-                coeffs = out_blk.reduce(image)
+                image = lam.compose(blocks[(i, j)].reps[u])  # P2(I(j)) -> P(s)
+                coeffs = blocks[(s, j)].reduce(image)
                 for u2, val in enumerate(coeffs):
                     if val != f.zero():
                         lm.data[pos_of[(s, j, u2)]][pos] = val
@@ -417,11 +370,8 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
             for pos, (i, j, u) in enumerate(basis):
                 if j != s or lam2 is None:
                     continue
-                blk = blocks[(i, j)]
-                rep = blk.hom[blk.rep_positions[u]]
-                image = rep.compose(lam2)  # P2(I(t)) -> P(i)
-                out_blk = blocks[(i, t)]
-                coeffs = out_blk.reduce(image)
+                image = blocks[(i, j)].reps[u].compose(lam2)  # P2(I(t)) -> P(i)
+                coeffs = blocks[(i, t)].reduce(image)
                 for u2, val in enumerate(coeffs):
                     if val != f.zero():
                         rm.data[pos_of[(i, t, u2)]][pos] = val
@@ -481,19 +431,11 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
         vec = list(zero_vec)
         vec[:na] = list(r.vector)
         reps.append(ArrowRep(r.name, r.source, r.target, tuple(vec)))
-    tr = SpanTracker(ne, f)
-    for r in c.radical:
-        for mat in (ext2.left[r], ext2.right[r]):
-            for col in range(mat.cols):
-                tr.add(mat.column(col))
-    for t in range(ne):
-        unit = [z] * ne
-        unit[t] = f.one()
-        if tr.add(unit):
-            i, j = ext2.blocks[t]
-            vec = list(zero_vec)
-            vec[na + t] = f.one()
-            reps.append(ArrowRep(e_labels[t], i, j, tuple(vec)))
+    for t in ext2.arrow_positions():
+        i, j = ext2.blocks[t]
+        vec = list(zero_vec)
+        vec[na + t] = f.one()
+        reps.append(ArrowRep(e_labels[t], i, j, tuple(vec)))
 
     out = BasedAlgebra(f, c.vertices, labels, source, target, idempotents,
                        radical, mult, reps)

@@ -5,6 +5,12 @@ All Ext computations run over minimal projective resolutions; injective
 arguments are converted through the standard duality D into projective
 computations over the opposite algebra.  Resolutions are cached per
 (algebra, module) key; a cache hit is indistinguishable from recomputing.
+
+A map out of a resolution term, a sum of projectives e_v A, is handled by
+its generator images: Hom(e_v A, N) = N e_v, so Ext cocycles, coboundaries,
+chain lifts and the transpose are all read from or built out of those
+images (`ProjectiveSum.generator_images`, `ProjectiveSum.yoneda_basis`,
+`psum_map`), with no Hom system to solve.  `hom_basis` serves Ext^0 only.
 """
 
 from __future__ import annotations
@@ -12,19 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve
 from quiverkit.repmod import (
     Module,
     ModuleMap,
-    ProjectiveSum,
     cokernel_of,
-    combine_maps,
     dual_module,
     hom_basis,
-    hom_coords,
     kernel_of,
     min_proj_presentation,
-    projective_basis_indices,
     projective_cover,
     projective_sum,
     psum_map,
@@ -116,13 +118,11 @@ def global_dim(a: BasedAlgebra, cap: int = 10):
 # Ext
 
 
-def _precomposition_matrix(hk, hk1, d):
-    """Matrix of phi -> phi o d from span(hk) to span(hk1), as columns of
-    coordinates; hk basis of Hom(P_k, N), hk1 of Hom(P_{k+1}, N)."""
+def _precomposed_coordinates(maps, d, psum):
+    """The coordinates over psum, the source of d, of phi o d for each phi."""
     cols = []
-    for phi in hk:
-        comp = phi.compose(d)
-        coords = hom_coords(hk1, comp)
+    for phi in maps:
+        coords = psum.coordinates(phi.compose(d))
         if coords is None:
             raise HomologyError("composition left the hom space")
         cols.append(coords)
@@ -132,7 +132,10 @@ def _precomposition_matrix(hk, hk1, d):
 def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
     """dim Ext^k(M, N) and cocycle representatives P_k -> N.
 
-    For k = 0 the representatives are a basis of Hom(M, N) itself.
+    For k = 0 the representatives are a basis of Hom(M, N) itself.  For
+    k >= 1, Hom(P_k, N) is taken in generator coordinates (`yoneda_basis`):
+    cocycles are the kernel of precomposition with d_{k+1}, and coboundaries
+    the precompositions of Hom(P_{k-1}, N) with d_k.
     """
     if k < 0:
         raise HomologyError("negative degree")
@@ -142,79 +145,30 @@ def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
         basis = hom_basis(m, n)
         return len(basis), basis
     res = resolution or min_resolution(m, k + 1)
-    pk = res.term_module(k)
-    if pk is None or pk.is_zero():
+    if k >= len(res.terms):
         return 0, []
     f = m.algebra.field
-    hk = hom_basis(pk, n)
+    pk = res.terms[k]
+    hk = pk.yoneda_basis(n)
     if not hk:
         return 0, []
-    pk1 = res.term_module(k + 1)
-    if pk1 is None or pk1.is_zero():
-        cocycles = [[f.one() if i == j else f.zero() for i in range(len(hk))]
-                    for j in range(len(hk))]
+    if k + 1 < len(res.terms):
+        pk1 = res.terms[k + 1]
+        cols = _precomposed_coordinates(hk, res.diffs[k], pk1)
+        rows = sum(n.dims[v] for v in pk1.verts)
     else:
-        hk1 = hom_basis(pk1, n)
-        cols = _precomposition_matrix(hk, hk1, res.diffs[k])
-        if not hk1:
-            cocycles = [[f.one() if i == j else f.zero() for i in range(len(hk))]
-                        for j in range(len(hk))]
-        else:
-            mat = Matrix(f, [[cols[j][i] for j in range(len(hk))]
-                             for i in range(len(hk1))])
-            from quiverkit.linalg import kernel_basis
-            cocycles = kernel_basis(mat)
-    # coboundaries: image of Hom(P_{k-1}, N) under precomposition with d_k
-    pkm1 = res.term_module(k - 1) if k >= 1 else None
-    boundary_vecs = []
-    if pkm1 is not None and not pkm1.is_zero():
-        hkm1 = hom_basis(pkm1, n)
-        for psi in hkm1:
-            comp = psi.compose(res.diffs[k - 1])
-            coords = hom_coords(hk, comp)
-            boundary_vecs.append(coords)
+        cols, rows = [[] for _ in hk], 0
+    cocycles = kernel_basis(Matrix.from_columns(f, cols, rows))
     tracker = SpanTracker(len(hk), f)
-    for v in boundary_vecs:
+    for v in _precomposed_coordinates(res.terms[k - 1].yoneda_basis(n),
+                                      res.diffs[k - 1], pk):
         tracker.add(v)
-    bdim = tracker.dim
-    reps = []
-    for v in cocycles:
-        if tracker.add(v):
-            reps.append(v)
-    dim = len(reps)
-    rep_maps = []
-    for v in reps:
-        rep_maps.append(combine_maps(v, hk, pk, n))
-    return dim, rep_maps
+    reps = [v for v in cocycles if tracker.add(v)]
+    return len(reps), [pk.map_with_coordinates(n, v) for v in reps]
 
 
 # ---------------------------------------------------------------------------
 # transpose and tau
-
-
-def _map_components_as_elements(d1, p1: ProjectiveSum, p0: ProjectiveSum):
-    """Entries x[alpha][beta] in e_{t(alpha)} A e_{s(beta)} of a map between
-    projective sums (the image of each generator, split into summand blocks)."""
-    a = p0.algebra
-    f = a.field
-    out = []
-    for alpha in range(len(p0.verts)):
-        out.append([None] * len(p1.verts))
-    for beta, vb in enumerate(p1.verts):
-        # generator of summand beta: the idempotent basis element's slot
-        off_b, _ = p1.summand_offsets(vb)[beta]
-        at_vb = projective_basis_indices(a, a.vertices[vb])[vb]
-        gen_col = off_b + at_vb.index(a.idempotents[vb])
-        # image in p0.module at vertex vb
-        img = [d1.blocks[vb].data[i][gen_col] for i in range(p0.module.dims[vb])]
-        for alpha, va in enumerate(p0.verts):
-            off_a, da = p0.summand_offsets(vb)[alpha]
-            elem = [f.zero()] * a.dim
-            basis_at = projective_basis_indices(a, a.vertices[va])[vb]
-            for pos, k in enumerate(basis_at):
-                elem[k] = img[off_a + pos]
-            out[alpha][beta] = elem
-    return out
 
 
 def transpose(m: Module) -> Module:
@@ -230,23 +184,19 @@ def transpose(m: Module) -> Module:
     op = a.opposite()
     if not p1.verts:
         return zero_module(op)
-    x = _map_components_as_elements(d1, p1, p0)
-    q0 = projective_sum(op, [p0.verts[alpha] for alpha in range(len(p0.verts))])
-    q1 = projective_sum(op, [p1.verts[beta] for beta in range(len(p1.verts))])
-    # map q0 -> q1; the alpha-generator goes to sum over beta of x[alpha][beta]
-    f = a.field
+    # The alpha-th summand part of d1's beta-th generator image lies in
+    # e_va A e_vb = e_vb A^op e_va, whose basis, in the same order, is the
+    # beta-th summand of q1 at va.  Hom(d1, A) sends the alpha-th generator
+    # of q0 to these parts, side by side.
+    q0 = projective_sum(op, p0.verts)
+    q1 = projective_sum(op, p1.verts)
+    images = p1.generator_images(d1)
     gen_images = []
-    for alpha, va in enumerate(p0.verts):
-        img = [f.zero()] * q1.module.dims[va]
+    for alpha in range(len(p0.verts)):
+        img = []
         for beta, vb in enumerate(p1.verts):
-            elem = x[alpha][beta]
-            # elem lies in e_{va} A e_{vb} = e_{vb} A^op e_{va}: a vector in
-            # the beta-summand of q1 at vertex va
-            off, _ = q1.summand_offsets(va)[beta]
-            basis_at = projective_basis_indices(op, op.vertices[vb])[va]
-            for pos, k in enumerate(basis_at):
-                if elem[k] != f.zero():
-                    img[off + pos] = f.add(img[off + pos], elem[k])
+            off, d = p0.summand_offsets(vb)[alpha]
+            img.extend(images[beta][off:off + d])
         gen_images.append(img)
     g = psum_map(q0, q1.module, gen_images)
     coker, _ = cokernel_of(g, label=f"Tr {m.label}")
@@ -274,16 +224,18 @@ def tau_inv(m: Module) -> Module:
 def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto: int):
     """Chain maps Lambda_k: P_k(source of g) -> P_k(target of g) over g.
 
-    Lifts are deterministic: each one is the rref particular solution of
-    the lifting system (free coordinates zero).
+    Each Lambda_k is built from its generator images: for the generator of
+    a summand at vertex v, the rref particular solution x (free coordinates
+    zero) of post_v x = want, where want is the generator's image under the
+    map to be lifted and post is the target's augmentation or differential.
     """
     f = g.source.algebra.field
     lifts = []
     prev = None
     for k in range(upto + 1):
-        pk_s = res_src.term_module(k)
-        pk_t = res_tgt.term_module(k)
-        if pk_s is None or pk_s.is_zero():
+        pk_s = res_src.terms[k] if k < len(res_src.terms) else None
+        pk_t = res_tgt.terms[k] if k < len(res_tgt.terms) else None
+        if pk_s is None or pk_s.module.is_zero():
             lifts.append(None)
             prev = None
             continue
@@ -291,13 +243,10 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             target_map = g.compose(res_src.aug)
             post = res_tgt.aug
         else:
-            if prev is None:
-                # the previous lift was forced zero, so is this level's
-                target_map = None
-            else:
-                target_map = prev.compose(res_src.diffs[k - 1])
+            # None when the previous lift was forced zero, as is this one
+            target_map = None if prev is None else prev.compose(res_src.diffs[k - 1])
             post = res_tgt.diffs[k - 1] if k - 1 < len(res_tgt.diffs) else None
-        if pk_t is None or pk_t.is_zero():
+        if pk_t is None or pk_t.module.is_zero():
             # exactness of the shorter target resolution forces the
             # composite to vanish, so the zero component lifts
             if target_map is not None and any(
@@ -308,32 +257,16 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             prev = None
             continue
         if target_map is None:
-            from quiverkit.repmod import zero_map
-            lam = zero_map(pk_s, pk_t)
-            lifts.append(lam)
-            prev = lam
-            continue
-        basis = hom_basis(pk_s, pk_t)
-        if post is None:
+            images = [[f.zero()] * pk_t.module.dims[v] for v in pk_s.verts]
+        elif post is None:
             raise HomologyError("missing differential in the target resolution")
-        # solve post o Lambda = target_map in the hom space
-        cols = []
-        for h in basis:
-            cols.append(post.compose(h).flatten())
-        flat = target_map.flatten()
-        if not cols:
-            if any(x != f.zero() for x in flat):
-                raise HomologyError("lifting system is infeasible")
-            lifts.append(None)
-            prev = None
-            continue
-        mat = Matrix(f, [[cols[j][i] for j in range(len(cols))]
-                         for i in range(len(flat))])
-        from quiverkit.linalg import solve as lin_solve
-        coords = lin_solve(mat, flat)
-        if coords is None:
-            raise HomologyError("lifting system is infeasible")
-        lam = combine_maps(coords, basis, pk_s, pk_t)
-        lifts.append(lam)
-        prev = lam
+        else:
+            images = []
+            for v, want in zip(pk_s.verts, pk_s.generator_images(target_map)):
+                x = solve(post.blocks[v], want)
+                if x is None:
+                    raise HomologyError("lifting system is infeasible")
+                images.append(x)
+        prev = psum_map(pk_s, pk_t.module, images)
+        lifts.append(prev)
     return lifts

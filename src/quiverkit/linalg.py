@@ -201,12 +201,6 @@ class Matrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def copy(self):
-        return Matrix(self.field, self.data, self.rows, self.cols)
-
     def transpose(self):
         t = Matrix.zeros(self.field, self.cols, self.rows)
         for i in range(self.rows):
@@ -277,12 +271,6 @@ def mat_scale(c, m: Matrix) -> Matrix:
     f = m.field
     return Matrix(f, [[f.mul(c, x) for x in row] for row in m.data],
                   m.rows, m.cols)
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise LinalgError("column count mismatch")
-    return Matrix(a.field, a.data + b.data, a.rows + b.rows, a.cols)
 
 
 @dataclass
@@ -394,23 +382,6 @@ def solve(m: Matrix, b: list):
     for r, pc in enumerate(res.pivot_columns):
         x[pc] = res.reduced.data[r][m.cols]
     return x
-
-
-def row_space_matrix(vectors, ncols, field) -> Matrix:
-    """Stack vectors as rows (empty-safe)."""
-    return Matrix(field, [list(v) for v in vectors], len(vectors), ncols)
-
-
-def span_rank(vectors, ncols, field) -> int:
-    if not vectors:
-        return 0
-    return rref(row_space_matrix(vectors, ncols, field)).rank
-
-
-def in_span(vectors, target, ncols, field) -> bool:
-    """Is target in the row span of vectors?"""
-    base = span_rank(vectors, ncols, field)
-    return span_rank(list(vectors) + [target], ncols, field) == base
 
 
 class SpanTracker:

@@ -242,12 +242,6 @@ def combine_maps(coords, basis, source, target):
     return ModuleMap(source, target, acc)
 
 
-def zero_map(m: Module, n: Module) -> ModuleMap:
-    f = m.algebra.field
-    return ModuleMap(m, n, [Matrix.zeros(f, n.dims[v], m.dims[v])
-                            for v in range(len(m.dims))])
-
-
 def identity_map(m: Module) -> ModuleMap:
     f = m.algebra.field
     return ModuleMap(m, m, [Matrix.identity(f, d) for d in m.dims])
@@ -411,17 +405,6 @@ def _unflatten_hom(m, n, flat):
         pos += r * c
         blocks.append(Matrix(f, data, r, c))
     return ModuleMap(m, n, blocks)
-
-
-def hom_coords(basis, target_map):
-    """Coordinates of target_map in the given hom basis (None if outside)."""
-    if not basis:
-        return None if any(not b.is_zero() for b in target_map.blocks) else []
-    f = basis[0].source.algebra.field
-    cols = [b.flatten() for b in basis]
-    mat = Matrix(f, [[cols[j][i] for j in range(len(cols))]
-                     for i in range(len(cols[0]))])
-    return solve(mat, target_map.flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +597,10 @@ class ProjectiveSum:
     """An explicit finite direct sum of indecomposable projectives.
 
     verts lists the defining vertex index of each summand; the module's
-    vertex space at w concatenates the summands' spaces in order.
+    vertex space at w concatenates the summands' spaces in order.  A map out
+    of the sum is held by its generator images, the coordinates that
+    `generator_images`, `coordinates`, `map_with_coordinates` and
+    `yoneda_basis` read and build.
     """
 
     algebra: BasedAlgebra
@@ -630,6 +616,47 @@ class ProjectiveSum:
             per.append((acc, d))
             acc += d
         return per
+
+    def generator_images(self, fmap):
+        """The images under fmap (a map out of this sum) of the summands'
+        generators, the idempotent basis elements; the c-th is a vector in
+        the target at the c-th summand's vertex.
+
+        By Yoneda, Hom(e_v A, N) = N e_v: the images determine the map, and
+        concatenated they are its coordinates.
+        """
+        a = self.algebra
+        out = []
+        for c, v in enumerate(self.verts):
+            at_v = projective_basis_indices(a, a.vertices[v])[v]
+            col = self.summand_offsets(v)[c][0] + at_v.index(a.idempotents[v])
+            out.append(fmap.blocks[v].column(col))
+        return out
+
+    def coordinates(self, fmap):
+        """fmap's concatenated generator images, or None when fmap is not the
+        module map that those images determine."""
+        images = self.generator_images(fmap)
+        if psum_map(self, fmap.target, images).blocks != fmap.blocks:
+            return None
+        return [x for img in images for x in img]
+
+    def map_with_coordinates(self, target, coords):
+        """The map into target whose concatenated generator images are coords."""
+        images, pos = [], 0
+        for v in self.verts:
+            images.append(coords[pos:pos + target.dims[v]])
+            pos += target.dims[v]
+        return psum_map(self, target, images)
+
+    def yoneda_basis(self, target):
+        """The basis of Hom(P, target) dual to the generator coordinates: each
+        map sends one generator to a unit vector, the others to zero."""
+        f = self.algebra.field
+        n = sum(target.dims[v] for v in self.verts)
+        return [self.map_with_coordinates(target, [f.one() if i == t else f.zero()
+                                                   for i in range(n)])
+                for t in range(n)]
 
 
 def projective_sum(a: BasedAlgebra, verts, label=None) -> ProjectiveSum:
@@ -679,31 +706,39 @@ def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
     return ModuleMap(m, target, blocks)
 
 
-def projective_cover(m: Module):
-    """(projective sum P, epi P ->> M) with superfluous kernel."""
-    a = m.algebra
-    f = a.field
+def top_generator_slots(m: Module):
+    """(vertex, coordinate) of the unit vectors that complete the radical
+    span at each vertex: their classes are a basis of top M, so they
+    generate M minimally."""
+    f = m.algebra.field
     rad = radical_spans(m)
-    verts = []
-    gens = []
-    for v in range(len(m.dims)):
-        d = m.dims[v]
+    slots = []
+    for v, d in enumerate(m.dims):
         if d == 0:
             continue
-        res = rref(Matrix(f, rad[v], len(rad[v]), d)) if rad[v] else None
         tr = SpanTracker(d, f)
-        if res:
+        if rad[v]:
+            # one rref, then only its echelon rows enter the tracker: this
+            # runs for every cover in a knit
+            res = rref(Matrix(f, rad[v], len(rad[v]), d))
             for i in range(res.rank):
                 tr.add(res.reduced.data[i])
         for c in range(d):
             unit = [f.zero()] * d
             unit[c] = f.one()
             if tr.add(unit):
-                verts.append(v)
-                gens.append(unit)
-    psum = projective_sum(a, verts)
-    epi = psum_map(psum, m, gens)
-    return psum, epi
+                slots.append((v, c))
+    return slots
+
+
+def projective_cover(m: Module):
+    """(projective sum P, epi P ->> M) with superfluous kernel."""
+    f = m.algebra.field
+    slots = top_generator_slots(m)
+    psum = projective_sum(m.algebra, [v for v, _ in slots])
+    gens = [[f.one() if i == c else f.zero() for i in range(m.dims[v])]
+            for v, c in slots]
+    return psum, psum_map(psum, m, gens)
 
 
 def min_proj_presentation(m: Module):

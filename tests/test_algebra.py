@@ -68,6 +68,18 @@ def test_not_finite_dimensional_rejected():
         build_algebra(pres, cap=8)
 
 
+def test_cycle_avoiding_every_relation_rejected_up_front():
+    # b*n8*x1 contains no relation term, so its powers are independent modulo
+    # the ideal; the saturation loop alone took minutes to give up on this
+    pres = parse_presentation(
+        "field: gf(32003)\nvertices: 1 2 3 4 5\n"
+        "arrows: a: 1 -> 2, b: 2 -> 4, g: 1 -> 3, d: 3 -> 4, x1: 5 -> 2, "
+        "x2: 5 -> 2, n1: 4 -> 1, n8: 4 -> 5\n"
+        "relations: b*n1, n1*a, a*b + g*d, n1*g, d*n1\n")
+    with pytest.raises(BuildError, match=r"the cycle b\*n8\*x1 contains no relation term"):
+        build_algebra(pres)
+
+
 def test_loop_with_admissible_relation_builds():
     pres = parse_presentation(
         "field: rational\nvertices: 1\narrows: x: 1 -> 1\nrelations: x*x\n")

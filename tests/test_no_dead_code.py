@@ -1,0 +1,68 @@
+"""Every function, class and method of the package has a reference somewhere
+in the repository's code: a helper without callers fails this test."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "quiverkit"
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def _trees():
+    for d in SEARCHED:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _docstring_ids(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def _references(tree):
+    """Names used as a Name, an attribute, an import, or a word of a string
+    literal other than a docstring (traced names such as
+    "Module.basis_action" are strings)."""
+    docs = _docstring_ids(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            yield from re.findall(r"\w+", node.value)
+
+
+def _definitions(tree):
+    """Functions, classes and methods, except dunders and functions that a
+    decorator call registers (they are reached through the registry)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        if any(isinstance(d, ast.Call) for d in node.decorator_list):
+            continue
+        yield node.name, node.lineno
+
+
+def test_every_definition_is_referenced():
+    trees = list(_trees())
+    referenced = set()
+    for _, tree in trees:
+        referenced.update(_references(tree))
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, tree in trees if path.is_relative_to(PACKAGE)
+              for name, line in _definitions(tree) if name not in referenced]
+    assert unused == []

@@ -1,0 +1,95 @@
+"""Maps out of projective sums in generator coordinates, checked against the
+generic commutation-system route `hom_basis` on the AR-quiver nodes of the
+finite fixtures, over the rationals and a large prime."""
+
+from functools import lru_cache
+
+import pytest
+
+from quiverkit.algebra import build_algebra
+from quiverkit.arquiver import knit
+from quiverkit.cli import _load_presentation, fixture_path
+from quiverkit.homology import ext_dim, lift_chain_map, min_resolution
+from quiverkit.linalg import SpanTracker
+from quiverkit.repmod import hom_basis
+
+CASES = [(name, field)
+         for name in ("d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q")
+         for field in ("rational", "gf(32003)")]
+
+
+@lru_cache(maxsize=None)
+def _nodes(name, field):
+    a = build_algebra(_load_presentation(fixture_path(name), field))
+    frag = knit(a, 40)
+    assert frag.complete
+    return frag.nodes
+
+
+def _hom_dim(m, n):
+    return 0 if m is None else len(hom_basis(m, n))
+
+
+@pytest.mark.parametrize("name,field", CASES)
+def test_ext_dims_match_hom_dimension_counts(name, field):
+    # 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(OM, N) -> Ext^1(M, N) -> 0, and
+    # Ext^2(M, N) = Ext^1(OM, N) with OM the first syzygy
+    nodes = _nodes(name, field)
+    for m in nodes:
+        res = min_resolution(m, 3)
+        omega, omega2 = [res.kernels[k][0] if k < len(res.kernels) else None
+                         for k in (0, 1)]
+        p0, p1 = [res.term_module(k) for k in (0, 1)]
+        for n in nodes:
+            ext1 = _hom_dim(omega, n) - _hom_dim(p0, n) + _hom_dim(m, n)
+            ext2 = _hom_dim(omega2, n) - _hom_dim(p1, n) + _hom_dim(omega, n)
+            assert ext_dim(m, n, 1)[0] == ext1
+            assert ext_dim(m, n, 2)[0] == ext2
+
+
+def _is_zero_or_none(fmap):
+    return fmap is None or all(b.is_zero() for b in fmap.blocks)
+
+
+def _same(lhs, rhs):
+    if _is_zero_or_none(lhs) or _is_zero_or_none(rhs):
+        return _is_zero_or_none(lhs) and _is_zero_or_none(rhs)
+    return lhs.blocks == rhs.blocks
+
+
+@pytest.mark.parametrize("name,field", CASES)
+def test_chain_lifts_commute(name, field):
+    nodes = _nodes(name, field)[:6]
+    for m in nodes:
+        res_m = min_resolution(m, 3)
+        for n in nodes:
+            res_n = min_resolution(n, 3)
+            for g in hom_basis(m, n):
+                lifts = lift_chain_map(g, res_m, res_n, 2)
+                assert _same(res_n.aug.compose(lifts[0]), g.compose(res_m.aug))
+                for k in (1, 2):
+                    if lifts[k] is None:
+                        continue
+                    post = res_n.diffs[k - 1].compose(lifts[k])
+                    want = (None if lifts[k - 1] is None
+                            else lifts[k - 1].compose(res_m.diffs[k - 1]))
+                    assert _same(post, want)
+
+
+@pytest.mark.parametrize("name,field", CASES)
+def test_yoneda_basis_spans_hom(name, field):
+    nodes = _nodes(name, field)
+    for m in nodes:
+        for p in min_resolution(m, 3).terms:
+            for n in nodes:
+                generic = hom_basis(p.module, n)
+                yoneda = p.yoneda_basis(n)
+                assert len(yoneda) == len(generic)
+                span = SpanTracker(sum(x * y for x, y in zip(p.module.dims, n.dims)),
+                                   n.algebra.field)
+                for h in generic:
+                    span.add(h.flatten())
+                for t, y in enumerate(yoneda):
+                    assert span.contains(y.flatten())
+                    coords = p.coordinates(y)
+                    assert coords == [int(i == t) for i in range(len(yoneda))]
