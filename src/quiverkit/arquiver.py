@@ -84,9 +84,6 @@ class ARFragment:
     def successors(self, i):
         return sorted(j for (x, j) in self.arrows if x == i and self.arrows[(x, j)] > 0)
 
-    def predecessors(self, j):
-        return sorted(i for (i, y) in self.arrows if y == j and self.arrows[(i, y)] > 0)
-
     def tau_inverse_of(self, i):
         for src, tgt in self.tau_links.items():
             if tgt == i:

@@ -12,11 +12,17 @@ Presentation file format (UTF-8 text, ``#`` starts a comment)::
 needs target(a) = source(b).  A term may carry an integer coefficient,
 as in ``2*a*b`` or ``-a*b``; all terms of one relation must be parallel
 paths of length at least 2.  The relations line may be omitted.
+
+Quivers are compared up to isomorphism (``canonical_form``,
+``quiver_isomorphism`` and the visited set of the mutation-class search)
+through one enumeration of vertex orders that permutes vertices only within
+colour classes; a vertex's colour is its sorted rows and sorted columns of
+the compared matrices.  Every isomorphism keeps colours, so the results are
+those of a loop over all n! permutations.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -169,10 +175,6 @@ class Presentation:
 _ARROW_RE = re.compile(r"^\s*(\w+)\s*:\s*(\S+)\s*->\s*(\S+)\s*$")
 
 
-def _split_top(text):
-    return [part for part in text.split(",")]
-
-
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format into a Presentation."""
     field = None
@@ -209,7 +211,7 @@ def parse_presentation(text: str) -> Presentation:
             if not rest.strip():
                 continue
             col = len(keyword) + 2
-            for part in _split_top(rest):
+            for part in rest.split(","):
                 m = _ARROW_RE.match(part)
                 if not m:
                     raise ParseError(f"bad arrow spec {part.strip()!r}", line_no, col)
@@ -219,7 +221,7 @@ def parse_presentation(text: str) -> Presentation:
             if not rest.strip():
                 continue
             col = len(keyword) + 2
-            for part in _split_top(rest):
+            for part in rest.split(","):
                 if part.strip():
                     relation_specs.append((line_no, col, part))
                 col += len(part) + 1
@@ -244,10 +246,8 @@ def parse_presentation(text: str) -> Presentation:
 
 def _parse_relation(quiver, field, expr, line_no, col0):
     # split into signed terms at top-level + and -
-    terms = []
     sign = 1
     token = ""
-    token_col = col0
     pieces = []  # (sign, text, col)
     i = 0
     stripped_offset = 0
@@ -400,22 +400,64 @@ def to_dot(q: Quiver) -> str:
 # acyclicity, isomorphism
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """True when the quiver has no oriented cycle (topological sort)."""
-    n = len(q.vertices)
-    m = q.count_matrix()
-    indeg = m.sum(axis=0).copy()
-    ready = deque(i for i in range(n) if indeg[i] == 0)
+def _acyclic(m) -> bool:
+    """True when the arrow-count matrix m has no oriented cycle (topological
+    sort)."""
+    indeg = m.sum(axis=0)
+    ready = [i for i in range(len(m)) if indeg[i] == 0]
     seen = 0
     while ready:
-        i = ready.popleft()
+        i = ready.pop()
         seen += 1
-        for j in range(n):
-            if m[i, j]:
-                indeg[j] -= m[i, j]
-                if indeg[j] == 0:
-                    ready.append(j)
-    return seen == n
+        for j in np.flatnonzero(m[i]):
+            indeg[j] -= m[i, j]
+            if indeg[j] == 0:
+                ready.append(j)
+    return seen == len(m)
+
+
+def is_acyclic(q: Quiver) -> bool:
+    """True when the quiver has no oriented cycle."""
+    return _acyclic(q.count_matrix())
+
+
+def _colours(matrices):
+    """Each vertex's colour: its sorted rows and sorted columns across the
+    stacked square matrices.  A vertex permutation that carries one stack
+    onto another keeps colours."""
+    stacks = [m.tolist() for m in matrices] + [m.T.tolist() for m in matrices]
+    return [tuple(x for rows in stacks for x in sorted(rows[i])) for i in range(len(stacks[0]))]
+
+
+def _vertex_orders(colours, wanted):
+    """The vertex orders p with colours[p[i]] == wanted[i] for every i, in
+    lexicographic order."""
+    return _extend_order([[v for v, c in enumerate(colours) if c == w] for w in wanted], ())
+
+
+def _extend_order(candidates, order):
+    # depth first: position len(order) takes each unused candidate in turn
+    if len(order) == len(candidates):
+        yield order
+        return
+    for v in candidates[len(order)]:
+        if v not in order:
+            yield from _extend_order(candidates, order + (v,))
+
+
+def _canonical_key(m) -> bytes:
+    """The least of the permuted matrices m[p][:, p] over the vertex orders p
+    that list the vertices in sorted colour order.  Isomorphic matrices give
+    the same set of these, and equal keys are permuted copies of each other,
+    so keys are equal exactly for isomorphic matrices."""
+    colours = _colours([m])
+    return min(m.take(p, 0).take(p, 1).tobytes()
+               for p in _vertex_orders(colours, sorted(colours)))
+
+
+def canonical_form(q: Quiver) -> bytes:
+    """A key of the quiver that is equal exactly for isomorphic quivers."""
+    return _canonical_key(q.count_matrix())
 
 
 def quiver_isomorphism(q1: Quiver, q2: Quiver, extra_matrices=None):
@@ -423,26 +465,21 @@ def quiver_isomorphism(q1: Quiver, q2: Quiver, extra_matrices=None):
 
     When extra_matrices = (list1, list2) is given, the same permutation must
     also transport each matrix of list1 onto the matching one of list2
-    (used to require a common quiver/Cartan isomorphism).
+    (used to require a common quiver/Cartan isomorphism).  The bijection
+    returned is the first in the lexicographic order of vertex orders.
     """
-    n1, n2 = len(q1.vertices), len(q2.vertices)
-    if n1 != n2 or len(q1.arrows) != len(q2.arrows):
+    if len(q1.vertices) != len(q2.vertices) or len(q1.arrows) != len(q2.arrows):
         return None
-    m1 = q1.count_matrix()
-    m2 = q2.count_matrix()
-    e1, e2 = ([], [])
+    s1, s2 = [q1.count_matrix()], [q2.count_matrix()]
     if extra_matrices is not None:
-        e1 = [np.asarray(m) for m in extra_matrices[0]]
-        e2 = [np.asarray(m) for m in extra_matrices[1]]
-        if len(e1) != len(e2):
+        if len(extra_matrices[0]) != len(extra_matrices[1]):
             return None
-    for perm in itertools.permutations(range(n1)):
-        p = list(perm)
-        if not np.array_equal(m1[np.ix_(p, p)], m2):
-            continue
-        if all(np.array_equal(a[np.ix_(p, p)], b) for a, b in zip(e1, e2)):
-            # perm maps position p[i] of q1 to position i of q2
-            return {q1.vertices[p[i]]: q2.vertices[i] for i in range(n1)}
+        s1 += [np.asarray(m) for m in extra_matrices[0]]
+        s2 += [np.asarray(m) for m in extra_matrices[1]]
+    for p in _vertex_orders(_colours(s1), _colours(s2)):
+        if all(np.array_equal(a.take(p, 0).take(p, 1), b) for a, b in zip(s1, s2)):
+            # p maps position p[i] of q1 to position i of q2
+            return {q1.vertices[v]: q2.vertices[i] for i, v in enumerate(p)}
     return None
 
 
@@ -462,17 +499,26 @@ def _quiver_from_b(b, vertices):
     return Quiver(tuple(vertices), tuple(arrows))
 
 
+def _exchange_matrix(q: Quiver, checked):
+    """The skew-symmetric exchange matrix of q, which cancels 2-cycles.  A
+    loop anywhere, or a 2-cycle through a vertex index in checked, is a
+    MutationError."""
+    counts = q.count_matrix()
+    loops = np.flatnonzero(np.diag(counts))
+    if loops.size:
+        raise MutationError(f"loop at vertex {q.vertices[loops[0]]}")
+    for k in checked:
+        if (np.minimum(counts[k], counts[:, k]) > 0).any():
+            raise MutationError(f"2-cycle at vertex {q.vertices[k]}")
+    return counts - counts.T
+
+
 def mutate_b_matrix(b, k):
     """Exchange-matrix mutation at index k."""
     b = np.asarray(b, dtype=np.int64)
-    n = b.shape[0]
-    out = b.copy()
-    for i in range(n):
-        for j in range(n):
-            if i == k or j == k:
-                out[i, j] = -b[i, j]
-            else:
-                out[i, j] = b[i, j] + (abs(b[i, k]) * b[k, j] + b[i, k] * abs(b[k, j])) // 2
+    col, row = b[:, [k]], b[[k], :]
+    out = b + (np.abs(col) * row + col * np.abs(row)) // 2
+    out[k, :], out[:, k] = -b[k, :], -b[:, k]
     return out
 
 
@@ -485,76 +531,22 @@ def mutate(q: Quiver, k) -> Quiver:
     """
     if k not in q.vertices:
         raise MutationError(f"unknown vertex {k!r}")
-    counts = q.count_matrix()
     ki = q.vertex_index(k)
-    n = len(q.vertices)
-    for i in range(n):
-        if counts[i, i]:
-            raise MutationError(f"loop at vertex {q.vertices[i]}")
-    for i in range(n):
-        if counts[i, ki] and counts[ki, i]:
-            raise MutationError(f"2-cycle at vertex {k}")
-    b = counts - counts.T
-    return _quiver_from_b(mutate_b_matrix(b, ki), list(q.vertices))
-
-
-def canonical_form(q: Quiver) -> bytes:
-    """Lexicographically minimal arrow-count matrix over vertex permutations."""
-    m = q.count_matrix()
-    n = m.shape[0]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        p = list(perm)
-        cand = m[np.ix_(p, p)].tobytes()
-        if best is None or cand < best:
-            best = cand
-    return best
+    return _quiver_from_b(mutate_b_matrix(_exchange_matrix(q, [ki]), ki), list(q.vertices))
 
 
 def find_acyclic_in_mutation_class(q: Quiver, max_depth: int):
     """Breadth-first search for an acyclic quiver within max_depth mutations.
 
-    Visited quivers are deduplicated up to isomorphism via canonical_form.
-    Returns the mutation sequence (list of vertex ids, shortest first in
-    BFS order) or None when the bounded search exhausts.
+    Visited quivers are deduplicated up to isomorphism by the key of
+    canonical_form.  Returns the mutation sequence (list of vertex ids,
+    shortest first in BFS order) or None when the bounded search exhausts.
     """
-    counts = q.count_matrix()
     n = len(q.vertices)
-    for i in range(n):
-        if counts[i, i]:
-            raise MutationError(f"loop at vertex {q.vertices[i]}")
-        for j in range(i):
-            if counts[i, j] and counts[j, i]:
-                raise MutationError("2-cycle in input quiver")
+    start = _exchange_matrix(q, range(n))
     if is_acyclic(q):
         return []
-    start = counts - counts.T
-
-    def canon(b):
-        best = None
-        for perm in itertools.permutations(range(n)):
-            p = list(perm)
-            cand = b[np.ix_(p, p)].tobytes()
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def acyclic_b(b):
-        pos = np.maximum(b, 0)
-        indeg = pos.sum(axis=0).copy()
-        ready = deque(i for i in range(n) if indeg[i] == 0)
-        seen = 0
-        while ready:
-            i = ready.popleft()
-            seen += 1
-            for j in range(n):
-                if pos[i, j]:
-                    indeg[j] -= pos[i, j]
-                    if indeg[j] == 0:
-                        ready.append(j)
-        return seen == n
-
-    visited = {canon(start)}
+    visited = {_canonical_key(start)}
     queue = deque([(start, [])])
     while queue:
         b, path = queue.popleft()
@@ -562,12 +554,12 @@ def find_acyclic_in_mutation_class(q: Quiver, max_depth: int):
             continue
         for ki in range(n):
             nb = mutate_b_matrix(b, ki)
-            key = canon(nb)
+            key = _canonical_key(nb)
             if key in visited:
                 continue
             visited.add(key)
             npath = path + [q.vertices[ki]]
-            if acyclic_b(nb):
+            if _acyclic(np.maximum(nb, 0)):
                 return npath
             queue.append((nb, npath))
     return None

@@ -608,11 +608,12 @@ class ProjectiveSum:
     module: Module
 
     def summand_offsets(self, w):
+        """(offset, dimension) of each summand's space at vertex w."""
+        a = self.algebra
         per = []
         acc = 0
         for v in self.verts:
-            d = len([k for k in range(self.algebra.dim)
-                     if self.algebra.source[k] == v and self.algebra.target[k] == w])
+            d = projective(a, a.vertices[v]).dims[w]
             per.append((acc, d))
             acc += d
         return per
@@ -626,11 +627,14 @@ class ProjectiveSum:
         concatenated they are its coordinates.
         """
         a = self.algebra
+        generator_cols = {}  # vertex -> (summand offsets, generator position)
+        for v in set(self.verts):
+            at_v = projective_basis_indices(a, a.vertices[v])[v]
+            generator_cols[v] = (self.summand_offsets(v), at_v.index(a.idempotents[v]))
         out = []
         for c, v in enumerate(self.verts):
-            at_v = projective_basis_indices(a, a.vertices[v])[v]
-            col = self.summand_offsets(v)[c][0] + at_v.index(a.idempotents[v])
-            out.append(fmap.blocks[v].column(col))
+            offsets, pos = generator_cols[v]
+            out.append(fmap.blocks[v].column(offsets[c][0] + pos))
         return out
 
     def coordinates(self, fmap):

@@ -28,9 +28,10 @@ def _docstring_ids(tree):
 
 
 def _references(tree):
-    """Names used as a Name, an attribute, an import, or a word of a string
-    literal other than a docstring (traced names such as
-    "Module.basis_action" are strings)."""
+    """Names used as a Name, an attribute, an import, or a part of a string
+    literal other than a docstring that is a whole dotted name (traced names
+    such as "Module.basis_action" are strings; words of prose are not
+    references)."""
     docs = _docstring_ids(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -40,8 +41,8 @@ def _references(tree):
         elif isinstance(node, ast.alias):
             yield from node.name.split(".")
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docs):
-            yield from re.findall(r"\w+", node.value)
+              and id(node) not in docs and re.fullmatch(r"[\w.]+", node.value)):
+            yield from node.value.split(".")
 
 
 def _definitions(tree):

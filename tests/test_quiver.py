@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -228,3 +229,94 @@ def test_quiver_isomorphism():
     assert perm == {"1": "y", "2": "x"}
     q3 = Quiver(("x", "y"), (Arrow("z", "y", "x"), Arrow("w", "y", "x")))
     assert quiver_isomorphism(q1, q3) is None
+
+
+def _reference_canon(m):
+    # the n! lexicographically least permuted matrix, as an oracle
+    n = m.shape[0]
+    return min(m[np.ix_(p, p)].tobytes() for p in itertools.permutations(range(n)))
+
+
+def _reference_isomorphism(q1, q2, extra=((), ())):
+    # the lexicographically first vertex order carrying every matrix across
+    s1 = [q1.count_matrix(), *extra[0]]
+    s2 = [q2.count_matrix(), *extra[1]]
+    for p in itertools.permutations(range(len(q1.vertices))):
+        if all(np.array_equal(a[np.ix_(p, p)], b) for a, b in zip(s1, s2)):
+            return {q1.vertices[v]: q2.vertices[i] for i, v in enumerate(p)}
+    return None
+
+
+def _reference_search(q, max_depth):
+    # breadth-first search keyed by the n! canon; acyclic = nilpotent
+    n = len(q.vertices)
+    counts = q.count_matrix()
+
+    def acyclic(b):
+        return not np.linalg.matrix_power((b > 0).astype(np.int64), n).any()
+
+    start = counts - counts.T
+    if acyclic(start):
+        return []
+    visited = {_reference_canon(start)}
+    queue = [(start, [])]
+    for b, path in queue:
+        if len(path) >= max_depth:
+            continue
+        for k in range(n):
+            nb = _mutate_reference(b, k)
+            key = _reference_canon(nb)
+            if key in visited:
+                continue
+            visited.add(key)
+            if acyclic(nb):
+                return path + [q.vertices[k]]
+            queue.append((nb, path + [q.vertices[k]]))
+    return None
+
+
+def _relabelled(rng, q, perturb):
+    """The quiver on shuffled new vertex names, maybe with one arrow more,
+    and the order p such that its i-th vertex renames the p[i]-th of q."""
+    names = [f"v{i}" for i in range(len(q.vertices))]
+    rng.shuffle(names)
+    rename = dict(zip(q.vertices, names))
+    arrows = [Arrow(a.name, rename[a.source], rename[a.target]) for a in q.arrows]
+    if perturb:
+        s, t = rng.sample(names, 2)
+        arrows.append(Arrow("extra", s, t))
+    vertices = tuple(sorted(names))
+    return Quiver(vertices, tuple(arrows)), [names.index(v) for v in vertices]
+
+
+def test_labelling_matches_brute_force_oracle():
+    rng = random.Random(2014)
+    searched = 0
+    for _ in range(120):
+        n = rng.randrange(2, 7)
+        q1 = _random_quiver(rng, n)
+        q2, p = _relabelled(rng, q1, perturb=rng.random() < 0.3)
+        iso = _reference_isomorphism(q1, q2)
+        assert (canonical_form(q1) == canonical_form(q2)) == (iso is not None)
+        assert quiver_isomorphism(q1, q2) == iso
+        # an extra matrix, carried along the relabelling or, sometimes, not
+        e1 = np.array([[rng.randrange(3) for _ in range(n)] for _ in range(n)])
+        e2 = e1[np.ix_(p, p)]
+        if rng.random() < 0.3:
+            e2[rng.randrange(n), rng.randrange(n)] += 1
+        extra = ([e1], [e2])
+        assert quiver_isomorphism(q1, q2, extra_matrices=extra) == _reference_isomorphism(
+            q1, q2, extra)
+        if n <= 5:
+            searched += 1
+            assert find_acyclic_in_mutation_class(q1, 3) == _reference_search(q1, 3)
+    assert searched > 50
+
+
+def test_search_rejects_two_cycle_naming_vertex():
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                 Arrow("c", "3", "2")))
+    with pytest.raises(MutationError, match="2-cycle at vertex 2"):
+        find_acyclic_in_mutation_class(q, 3)
+    with pytest.raises(MutationError, match="loop at vertex 1"):
+        find_acyclic_in_mutation_class(Quiver(("1",), (Arrow("a", "1", "1"),)), 3)
