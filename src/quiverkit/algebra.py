@@ -293,49 +293,13 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
             break
         N += 1
 
-    # reduce: pivot on deglex-largest paths so deglex-smallest representatives survive
-    span_rows = tracker.rows
-    npaths = len(path_list)
-    rev = list(range(npaths - 1, -1, -1))
-    rev_rows = [[row[c] for c in rev] for row in span_rows]
-    res = rref(Matrix(f, rev_rows, len(rev_rows), npaths)) if rev_rows else None
-    pivots_rev = res.pivot_columns if res else []
-    pivot_paths = {rev[c] for c in pivots_rev}
-    rewrite = {}
-    z = f.zero()
-    if res:
-        for r, c in enumerate(pivots_rev):
-            p = rev[c]
-            tail = {}
-            for c2 in range(c + 1, npaths):
-                val = res.reduced.data[r][c2]
-                if val != z:
-                    tail[rev[c2]] = f.neg(val)
-            rewrite[p] = tail
-
-    basis_paths = [
-        idx for idx, (s, t, w) in enumerate(path_list)
-        if len(w) < L_stop and idx not in pivot_paths
-    ]
+    # pivot on deglex-largest paths so deglex-smallest representatives
+    # survive; every path of length L_stop..N lies in the span, so it is a
+    # pivot that rewrites to zero
+    basis_paths, reduce = _normal_forms(f, len(path_list), tracker.rows)
     basis_pos = {p: i for i, p in enumerate(basis_paths)}
     dim = len(basis_paths)
-
-    def normal_form(path_idx):
-        out = {}
-        stack = [(path_idx, f.one())]
-        while stack:
-            p, coeff = stack.pop()
-            if len(path_list[p][2]) >= L_stop:
-                continue
-            if p in basis_pos:
-                out[basis_pos[p]] = f.add(out.get(basis_pos[p], z), coeff)
-            else:
-                for p2, c2 in rewrite[p].items():
-                    stack.append((p2, f.mul(coeff, c2)))
-        vec = [z] * dim
-        for k, c in out.items():
-            vec[k] = c
-        return vec
+    z = f.zero()
 
     labels = []
     source = []
@@ -349,17 +313,14 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
         else:
             labels.append("*".join(arrows[ai].name for ai in w))
 
-    mult = [[None] * dim for _ in range(dim)]
-    zero_vec = [z] * dim
+    mult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
     for i, pi in enumerate(basis_paths):
         si, ti, wi = path_list[pi]
         for j, pj in enumerate(basis_paths):
-            sj, tj, wj = path_list[pj]
-            if ti != sj or len(wi) + len(wj) >= L_stop:
-                mult[i][j] = list(zero_vec)
-                continue
-            concat = path_index.get((si, wi + wj))
-            mult[i][j] = normal_form(concat) if concat is not None else list(zero_vec)
+            sj, _, wj = path_list[pj]
+            # products of length L_stop or more are zero
+            if ti == sj and len(wi) + len(wj) < L_stop:
+                mult[i][j] = reduce([(path_index[(si, wi + wj)], f.one())])
 
     idempotents = []
     for vi in range(nverts):
@@ -480,13 +441,21 @@ def cartan_matrix(a: BasedAlgebra):
 
 
 def opposite_algebra(a: BasedAlgebra) -> BasedAlgebra:
-    """Same basis, reversed multiplication, swapped grading."""
+    """Same basis, reversed multiplication, swapped grading.
+
+    A product of arrows read backwards is the same element of the opposite
+    algebra, so its basis expressions are a's with every word reversed and
+    starting at the other end.
+    """
     mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
     reps = [ArrowRep(r.name, r.target, r.source, r.vector) for r in a.arrow_reps]
-    return BasedAlgebra(
+    op = BasedAlgebra(
         a.field, a.vertices, list(a.labels), list(a.target), list(a.source),
         list(a.idempotents), list(a.radical), mult, reps,
     )
+    op._expressions = [tuple((c, a.target[k], word[::-1]) for c, _, word in terms)
+                       for k, terms in enumerate(a.basis_expressions())]
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +508,39 @@ def two_sided_ideal(a: BasedAlgebra, generators) -> Ideal:
     return Ideal(a, [list(r) for r in t.rows])
 
 
+def _normal_forms(f, n, rows):
+    """Normal forms modulo the span of rows, vectors over n positions.
+
+    Pivoting happens on the latest positions, so earlier positions survive
+    as representatives.  Returns (surviving positions, reduce), where
+    reduce(terms) takes sparse (position, coefficient) terms and returns the
+    dense vector of their class over the surviving positions.
+    """
+    z = f.zero()
+    rev = list(range(n - 1, -1, -1))
+    res = rref(Matrix(f, [[row[c] for c in rev] for row in rows], len(rows), n))
+    # each pivot row is the pivot position minus its rewriting, which holds
+    # surviving positions only
+    rewrite = {}
+    for r, c in enumerate(res.pivot_columns):
+        rewrite[rev[c]] = [(rev[c2], f.neg(x))
+                           for c2, x in enumerate(res.reduced.data[r]) if c2 > c and x != z]
+    surviving = [k for k in range(n) if k not in rewrite]
+    pos = {k: i for i, k in enumerate(surviving)}
+
+    def reduce(terms):
+        out = [z] * len(surviving)
+        for k, c in terms:
+            if k in pos:
+                out[pos[k]] = f.add(out[pos[k]], c)
+            else:
+                for k2, c2 in rewrite[k]:
+                    out[pos[k2]] = f.add(out[pos[k2]], f.mul(c, c2))
+        return out
+
+    return surviving, reduce
+
+
 def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
     """Quotient by a two-sided ideal; surviving basis elements represent it.
 
@@ -546,44 +548,17 @@ def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
     (idempotents, then earlier radical elements) survive as representatives.
     """
     f = a.field
-    n = a.dim
+    z = f.zero()
     if not ideal.basis:
         return a
-    rev = list(range(n - 1, -1, -1))
-    rows = [[v[c] for c in rev] for v in ideal.basis]
-    res = rref(Matrix(f, rows, len(rows), n))
-    pivot_orig = {rev[c] for c in res.pivot_columns}
-    z = f.zero()
-    rewrite = {}
-    for r, c in enumerate(res.pivot_columns):
-        p = rev[c]
-        tail = {}
-        for c2 in range(c + 1, n):
-            val = res.reduced.data[r][c2]
-            if val != z:
-                tail[rev[c2]] = f.neg(val)
-        rewrite[p] = tail
-
-    surviving = [k for k in range(n) if k not in pivot_orig]
+    surviving, reduce = _normal_forms(f, a.dim, ideal.basis)
     if not surviving:
         raise BuildError("quotient is the zero algebra")
-    # an idempotent may only disappear if it lies in the ideal outright
-    for vi, e in enumerate(a.idempotents):
-        if e in pivot_orig and not ideal.contains(a.unit(e)):
-            raise BuildError("ideal eliminates an idempotent without containing it")
     surv_pos = {k: i for i, k in enumerate(surviving)}
-
-    def reduce_vec(vec):
-        out = [z] * len(surviving)
-        stack = [(k, c) for k, c in enumerate(vec) if c != z]
-        while stack:
-            k, c = stack.pop()
-            if k in surv_pos:
-                out[surv_pos[k]] = f.add(out[surv_pos[k]], c)
-            else:
-                for k2, c2 in rewrite[k].items():
-                    stack.append((k2, f.mul(c, c2)))
-        return out
+    # an idempotent may only disappear if it lies in the ideal outright
+    for e in a.idempotents:
+        if e not in surv_pos and not ideal.contains(a.unit(e)):
+            raise BuildError("ideal eliminates an idempotent without containing it")
 
     keep_vertices = [vi for vi, e in enumerate(a.idempotents) if e in surv_pos]
     vertices = tuple(a.vertices[vi] for vi in keep_vertices)
@@ -599,7 +574,7 @@ def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
     idempotents = [surv_pos[a.idempotents[vi]] for vi in keep_vertices]
     radical = [surv_pos[k] for k in a.radical if k in surv_pos]
     mult = [
-        [reduce_vec(a.mult[i][j]) for j in surviving]
+        [reduce([(k, c) for k, c in enumerate(a.mult[i][j]) if c != z]) for j in surviving]
         for i in surviving
     ]
     out = BasedAlgebra(

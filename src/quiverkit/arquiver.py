@@ -20,10 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
-from quiverkit.algebra import BasedAlgebra, Ideal, gabriel_quiver, quotient_algebra
+from quiverkit.algebra import (
+    BasedAlgebra,
+    Ideal,
+    gabriel_quiver,
+    quotient_algebra,
+    quotient_by_vertex,
+)
 from quiverkit.extensions import one_point_extension, relation_extension
 from quiverkit.homology import tau, tau_inv
-from quiverkit.linalg import Matrix, SpanTracker
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
 from quiverkit.repmod import (
     Module,
     decompose,
@@ -35,6 +41,7 @@ from quiverkit.repmod import (
     projective,
     radical_of,
     restrict_along_quotient,
+    right_multiples,
     simple,
     socle_of,
     socle_quotient,
@@ -183,15 +190,11 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     """
     if node_cap < len(a.vertices):
         raise ARQuiverError("node_cap smaller than the number of vertices")
-    f = a.field
     nodes = []
     labels = []
     label_count = {}
     projective_at = {}
     injective_at = {}
-
-    projs = [projective(a, v) for v in a.vertices]
-    injs = [injective(a, v) for v in a.vertices]
 
     def add_node(m):
         if m.is_zero():
@@ -209,28 +212,22 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             label_count[lab] = 1
         nodes.append(m)
         labels.append(lab)
-        i = len(nodes) - 1
-        for vi, v in enumerate(a.vertices):
-            if is_isomorphic(m, projs[vi]):
-                projective_at[i] = v
-            if is_isomorphic(m, injs[vi]):
-                injective_at[i] = v
-        return i
+        return len(nodes) - 1
 
+    # the seeds come first, so a later module isomorphic to P(v) or I(v) is
+    # found as the seed's node: marking the seeds marks every node
     complete = True
     queue = []
-    for p in projs:
-        idx = add_node(p)
-        if idx == -1:
-            complete = False
-        elif idx is not None:
-            queue.append(idx)
-    for im in injs + [simple(a, v) for v in a.vertices]:
-        idx = add_node(im)
-        if idx == -1:
-            complete = False
-        elif idx is not None and idx == len(nodes) - 1:
-            queue.append(idx)
+    for marks, seed in ((projective_at, projective), (injective_at, injective),
+                        ({}, simple)):
+        for v in a.vertices:
+            idx = add_node(seed(a, v))
+            if idx == -1:
+                complete = False
+            elif idx is not None:
+                marks[idx] = v
+                if idx == len(nodes) - 1:
+                    queue.append(idx)
 
     tau_of = {}
     tau_inv_of = {}
@@ -586,16 +583,20 @@ def tilted_quotient(a: BasedAlgebra, sigma_modules) -> TiltedQuotient:
                 break
         if not criterion:
             break
+    # one row per basis vector u of a module and coordinate of the module:
+    # the coordinate of u.b_k over k; the annihilator is their kernel
+    z = f.zero()
     rows = []
     for m in sigma_modules:
-        actions = m.basis_action()
-        T = m.total_dim
-        for i in range(T):
-            for j in range(T):
-                rows.append([actions[k].data[i][j] for k in range(a.dim)])
+        for v in range(len(a.vertices)):
+            for unit in Matrix.identity(f, m.dims[v]).data:
+                images = right_multiples(m, v, unit)
+                for w in range(len(a.vertices)):
+                    for i in range(m.dims[w]):
+                        rows.append([images[k][i] if k in images and a.target[k] == w
+                                     else z for k in range(a.dim)])
     ann_vectors = []
     if rows:
-        from quiverkit.linalg import kernel_basis
         ann_vectors = kernel_basis(Matrix(f, rows, len(rows), a.dim))
     tracker = SpanTracker(a.dim, f)
     for v in ann_vectors:
@@ -734,7 +735,6 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
             local_slice_passes = check_local_slice(bprime, frag2, sigma2).holds
 
     # (c) deleting the new vertex recovers the old quiver
-    from quiverkit.algebra import quotient_by_vertex
     deleted = quotient_by_vertex(bprime, new_vertex)
     qd = gabriel_quiver(deleted)
     deletion_recovers = bool(

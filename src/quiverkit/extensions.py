@@ -38,6 +38,7 @@ from quiverkit.repmod import (
     projective_basis_indices,
     projective_sum,
     psum_map,
+    right_multiples,
     top_generator_slots,
 )
 
@@ -68,6 +69,19 @@ def _fresh_vertex_id(vertices):
         return f"x{k}"
 
 
+def _padded_base(a: BasedAlgebra, dim):
+    """(mult, arrow_reps) of a, zero-padded to an algebra of dimension dim
+    whose first a.dim basis elements are a's; every product involving a
+    later basis element is zero."""
+    z = a.field.zero()
+    pad = [z] * (dim - a.dim)
+    mult = [[list(a.mult[i][j]) + pad if i < a.dim and j < a.dim else [z] * dim
+             for j in range(dim)] for i in range(dim)]
+    reps = [ArrowRep(r.name, r.source, r.target, tuple(r.vector) + tuple(pad))
+            for r in a.arrow_reps]
+    return mult, reps
+
+
 def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
     """The triangular matrix algebra on (a, m); the extension vertex is a
     source and the radical of its indecomposable projective is m."""
@@ -79,77 +93,47 @@ def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
     vertices = a.vertices + (new_id,)
     new_vi = nverts
 
-    # basis: a-part, the new idempotent, then m-part grouped by vertex
+    # basis: a-part, the new idempotent, then m-part grouped by vertex; the
+    # m-part element of coordinate i at vertex v is na + 1 + moff[v] + i
     na = a.dim
-    mslots = []  # (vertex index, local index)
-    for v in range(nverts):
-        for i in range(m.dims[v]):
-            mslots.append((v, i))
-    dim = na + 1 + len(mslots)
+    moff = m.offsets()
+    dim = na + 1 + m.total_dim
     taken = set(a.labels)
     e_label = f"e{new_id}"
     if e_label in taken:
         e_label = _fresh_names("e_ext", 1, taken)[0]
     taken.add(e_label)
-    m_labels = _fresh_names("m", len(mslots), taken)
+    m_labels = _fresh_names("m", m.total_dim, taken)
     labels = list(a.labels) + [e_label] + m_labels
-    source = list(a.source) + [new_vi] + [new_vi] * len(mslots)
-    target = list(a.target) + [new_vi] + [v for v, _ in mslots]
+    source = list(a.source) + [new_vi] * (1 + m.total_dim)
+    target = (list(a.target) + [new_vi]
+              + [v for v in range(nverts) for _ in range(m.dims[v])])
     idempotents = list(a.idempotents) + [na]
-    radical = list(a.radical) + [na + 1 + t for t in range(len(mslots))]
+    radical = list(a.radical) + list(range(na + 1, dim))
 
     z = f.zero()
-    zero_vec = [z] * dim
-    moff = m.offsets()
-    slot_of = {}
-    for t, (v, i) in enumerate(mslots):
-        slot_of[moff[v] + i] = na + 1 + t
-    actions = m.basis_action()
-
-    mult = [[list(zero_vec) for _ in range(dim)] for _ in range(dim)]
-    for i in range(na):
-        for j in range(na):
-            prod = a.mult[i][j]
-            vec = list(zero_vec)
-            vec[:na] = list(prod)
-            mult[i][j] = vec
-    e_new = na
-    vec = list(zero_vec)
-    vec[e_new] = f.one()
-    mult[e_new][e_new] = vec
-    for t in range(len(mslots)):
-        k = na + 1 + t
-        vec = list(zero_vec)
-        vec[k] = f.one()
-        mult[e_new][k] = vec  # e_new is a left identity on the m-part
-        v, i = mslots[t]
-        et = a.idempotents[v]
-        mult[k][et] = list(vec)  # and e_target a right identity
-    for t, (v, i) in enumerate(mslots):
-        k = na + 1 + t
-        col = [z] * m.total_dim
-        col[moff[v] + i] = f.one()
-        for j in range(na):
-            if j == a.idempotents[v]:
-                continue
-            img = actions[j].apply(col)
-            vec = list(zero_vec)
-            for pos, x in enumerate(img):
-                if x != z:
-                    vec[slot_of[pos]] = x
-            mult[k][j] = vec
+    mult, reps = _padded_base(a, dim)
+    # the new idempotent is a left identity on itself and the m-part
+    for k in range(na, dim):
+        mult[na][k] = [f.one() if x == k else z for x in range(dim)]
+    # a acts on the m-part from the right as on m
+    for v in range(nverts):
+        for i, unit in enumerate(Matrix.identity(f, m.dims[v]).data):
+            k = na + 1 + moff[v] + i
+            for j, img in right_multiples(m, v, unit).items():
+                vec = [z] * dim
+                w0 = na + 1 + moff[a.target[j]]
+                for r, x in enumerate(img):
+                    if x != z:
+                        vec[w0 + r] = x
+                mult[k][j] = vec
 
     # extension arrows: one per top(m) generator
-    reps = []
-    for r in a.arrow_reps:
-        vec = list(zero_vec)
-        vec[:na] = list(r.vector)
-        reps.append(ArrowRep(r.name, r.source, r.target, tuple(vec)))
     new_arrow_slots = top_generator_slots(m)
     arrow_names = _fresh_names("x", len(new_arrow_slots), set(r.name for r in reps))
     for nm, (v, i) in zip(arrow_names, new_arrow_slots):
-        vec = list(zero_vec)
-        vec[slot_of[moff[v] + i]] = f.one()
+        vec = [z] * dim
+        vec[na + 1 + moff[v] + i] = f.one()
         reps.append(ArrowRep(nm, new_vi, v, tuple(vec)))
 
     return BasedAlgebra(f, vertices, labels, source, target, idempotents,
@@ -406,12 +390,7 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
     idempotents = list(c.idempotents)
     radical = list(c.radical) + [na + t for t in range(ne)]
 
-    mult = [[list(zero_vec) for _ in range(dim)] for _ in range(dim)]
-    for i in range(na):
-        for j in range(na):
-            vec = list(zero_vec)
-            vec[:na] = list(c.mult[i][j])
-            mult[i][j] = vec
+    mult, reps = _padded_base(c, dim)
     for i in range(na):
         for t in range(ne):
             vec = list(zero_vec)
@@ -426,11 +405,6 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
             mult[na + t][i] = vec
     # E * E = 0: already zero vectors
 
-    reps = []
-    for r in c.arrow_reps:
-        vec = list(zero_vec)
-        vec[:na] = list(r.vector)
-        reps.append(ArrowRep(r.name, r.source, r.target, tuple(vec)))
     for t in ext2.arrow_positions():
         i, j = ext2.blocks[t]
         vec = list(zero_vec)

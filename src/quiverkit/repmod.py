@@ -96,7 +96,11 @@ class Module:
         return big
 
     def basis_action(self):
-        """Total-space action matrix of every algebra basis element."""
+        """Total-space action matrix of every algebra basis element.
+
+        The package acts on modules through `right_multiples`; these dense
+        T x T matrices are the reference that the tests check it against.
+        """
         if self._basis_action is not None:
             return self._basis_action
         a = self.algebra
@@ -128,25 +132,6 @@ class Module:
         self._basis_action = out
         return out
 
-    def act_vec(self, algebra_vec):
-        """Total-space matrix of the action of an algebra element."""
-        a = self.algebra
-        f = a.field
-        T = self.total_dim
-        acc = Matrix.zeros(f, T, T)
-        actions = self.basis_action()
-        for k, c in enumerate(algebra_vec):
-            if c == f.zero():
-                continue
-            mk = actions[k]
-            for i in range(T):
-                row = mk.data[i]
-                arow = acc.data[i]
-                for j in range(T):
-                    if row[j] != f.zero():
-                        arow[j] = f.add(arow[j], f.mul(c, row[j]))
-        return acc
-
     def __repr__(self):
         return f"Module({self.label}, dims={list(self.dims)})"
 
@@ -156,16 +141,21 @@ def _validate_relations(m: Module):
     pres = a.origin
     if pres is None:
         # consistency of the arrow action with the structure constants:
-        # the action of b_i composed with b_j must equal the action of b_i*b_j
-        actions = m.basis_action()
+        # (u.b_i).b_j must equal u.(b_i b_j) for every basis vector u of M
         f = a.field
-        for i in range(a.dim):
-            for j in range(a.dim):
-                # right action: act(x * y) = act(y) o act(x)
-                lhs = matmul(actions[j], actions[i])
-                rhs = m.act_vec(a.mult[i][j])
-                if lhs != rhs:
-                    raise ModuleError("module action violates the structure constants")
+        z = f.zero()
+        for v in range(len(m.dims)):
+            for unit in Matrix.identity(f, m.dims[v]).data:
+                mults = right_multiples(m, v, unit)
+                for i, ui in mults.items():
+                    for j, lhs in right_multiples(m, a.target[i], ui).items():
+                        rhs = [z] * len(lhs)
+                        for k, x in enumerate(a.mult[i][j]):
+                            if x != z:
+                                for r, y in enumerate(mults[k]):
+                                    rhs[r] = f.add(rhs[r], f.mul(x, y))
+                        if lhs != rhs:
+                            raise ModuleError("module action violates the structure constants")
         return
     f = a.field
     for rel in pres.relations:
@@ -669,44 +659,64 @@ def projective_sum(a: BasedAlgebra, verts, label=None) -> ProjectiveSum:
     return ProjectiveSum(a, list(verts), direct_sum(a, mods, label=label or "P"))
 
 
+def right_multiples(m: Module, v, vec):
+    """{k: vec . b_k}, in basis order, for every basis element b_k leaving
+    vertex index v, where vec is a coordinate vector in M at v; vec . b_k
+    lies in M at the target of b_k.
+
+    vec is pushed through the arrow words of b_k's basis expression, one
+    arrow matrix at a time, and the image of each word prefix is computed
+    once.  Basis expressions are graded, so every word is a path from v to
+    the target of b_k.
+    """
+    a = m.algebra
+    f = a.field
+    z = f.zero()
+    reps = a.arrow_reps
+    exprs = a.basis_expressions()
+    images = {(): list(vec)}  # arrow word -> image of vec
+
+    def image(word):
+        if word not in images:
+            images[word] = m.mats[reps[word[-1]].name].apply(image(word[:-1]))
+        return images[word]
+
+    out = {}
+    for k in range(a.dim):
+        if a.source[k] != v:
+            continue
+        acc = [z] * m.dims[a.target[k]]
+        for coeff, _, word in exprs[k]:
+            for i, x in enumerate(image(word)):
+                if x != z:
+                    acc[i] = f.add(acc[i], f.mul(coeff, x))
+        out[k] = acc
+    return out
+
+
 def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
     """The module map out of the projective sum sending the c-th summand's
     generator (the idempotent basis element) to gen_images[c] (a coordinate
     vector in target at the summand's vertex).
 
-    The image of b_k is the generator pushed through the arrow words of
-    b_k's basis expression, one arrow matrix at a time; the image of each
-    word prefix is computed once per generator.  Basis expressions are
-    graded, so every word is a path from the summand's vertex to the
-    target vertex of b_k.
+    The column of b_k in the c-th summand is gen_images[c] . b_k, read from
+    `right_multiples` in basis order, the order of the summand's basis at
+    each vertex.
     """
     a = psum.algebra
     f = a.field
-    z = f.zero()
     m = psum.module
     nv = len(a.vertices)
     blocks = [Matrix.zeros(f, target.dims[w], m.dims[w]) for w in range(nv)]
-    exprs = a.basis_expressions()
-    reps = a.arrow_reps
     offsets = [psum.summand_offsets(w) for w in range(nv)]
     for c, v in enumerate(psum.verts):
-        images = {(): list(gen_images[c])}  # arrow word -> image of the generator
-
-        def image(word):
-            if word not in images:
-                arrow = reps[word[-1]].name
-                images[word] = target.mats[arrow].apply(image(word[:-1]))
-            return images[word]
-
-        per_vertex = projective_basis_indices(a, a.vertices[v])
-        for w in range(nv):
-            off, _ = offsets[w][c]
-            blk = blocks[w].data
-            for pos, k in enumerate(per_vertex[w]):
-                for coeff, _, word in exprs[k]:
-                    for i, x in enumerate(image(word)):
-                        if x != z:
-                            blk[i][off + pos] = f.add(blk[i][off + pos], f.mul(coeff, x))
+        filled = [0] * nv  # columns of this summand filled at each vertex
+        for k, image in right_multiples(target, v, gen_images[c]).items():
+            w = a.target[k]
+            col = offsets[w][c][0] + filled[w]
+            filled[w] += 1
+            for i, x in enumerate(image):
+                blocks[w].data[i][col] = x
     return ModuleMap(m, target, blocks)
 
 
@@ -845,12 +855,10 @@ def decompose(m: Module):
 def is_isomorphic(m: Module, n: Module) -> bool:
     if m.algebra is not n.algebra:
         raise ModuleError("modules over different algebras")
+    if _indec_iso(m, n):
+        return True
     if m.dims != n.dims:
         return False
-    if m.total_dim == 0:
-        return True
-    if any(h.is_invertible() for h in hom_basis(m, n)):
-        return True
     dm = decompose(m)
     dn = decompose(n)
     if len(dm) != len(dn):
@@ -880,19 +888,21 @@ def restrict_along_quotient(m: Module, quot: BasedAlgebra, label=None) -> Module
     old_index = {a.vertices[i]: i for i in range(len(a.vertices))}
     dims = [m.dims[old_index[v]] for v in quot.vertices]
     mats = {}
+    z = f.zero()
+    unit_multiples = {}  # vertex index -> right multiples of each unit vector
     for rep in quot.arrow_reps:
-        parent_vec = [f.zero()] * a.dim
-        for pos, c in enumerate(rep.vector):
-            if c != f.zero():
-                parent_vec[quot.parent_basis[pos]] = c
-        big = m.act_vec(parent_vec)
         src_old = old_index[quot.vertices[rep.source]]
         tgt_old = old_index[quot.vertices[rep.target]]
-        off = m.offsets()
+        if src_old not in unit_multiples:
+            unit_multiples[src_old] = [
+                right_multiples(m, src_old, unit)
+                for unit in Matrix.identity(f, m.dims[src_old]).data]
         blk = Matrix.zeros(f, m.dims[tgt_old], m.dims[src_old])
-        for i in range(m.dims[tgt_old]):
-            for j in range(m.dims[src_old]):
-                blk.data[i][j] = big.data[off[tgt_old] + i][off[src_old] + j]
+        for j, images in enumerate(unit_multiples[src_old]):
+            for pos, c in enumerate(rep.vector):
+                if c != z:
+                    for i, x in enumerate(images[quot.parent_basis[pos]]):
+                        blk.data[i][j] = f.add(blk.data[i][j], f.mul(c, x))
         mats[rep.name] = blk
     return Module(quot, dims, mats, label=label or m.label)
 

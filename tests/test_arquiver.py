@@ -340,3 +340,24 @@ def test_knit_agrees_over_rationals_and_large_prime(name):
     complete, count, dims, arrows = _knit_over(name, "rational")
     assert complete
     assert _knit_over(name, "gf(32003)") == (complete, count, dims, arrows)
+
+
+@pytest.mark.parametrize("name,node_cap,dim_cap", [
+    ("d4_clustertilted.q", 40, 120), ("d4_clustertilted.q", 5, 120),
+    ("d4_tilted.q", 40, 120), ("d4_tilted_ext_s2.q", 40, 120),
+    ("d5_clustertilted.q", 60, 120), ("d5_clustertilted.q", 60, 3),
+    ("a31_clustertilted.q", 8, 120), ("a31_clustertilted.q", 40, 120),
+    ("a31_onepoint_ext.q", 15, 120)])
+def test_knit_marks_match_brute_force(name, node_cap, dim_cap):
+    # every node is marked as P(v) or I(v) exactly when it is isomorphic to it
+    from quiverkit.corpus import load_fixture
+    a = build_algebra(load_fixture(name))
+    frag = knit(a, node_cap, dim_cap)
+    marks = ({}, {})
+    for i, node in enumerate(frag.nodes):
+        for v in a.vertices:
+            if is_isomorphic(node, projective(a, v)):
+                marks[0][i] = v
+            if is_isomorphic(node, injective(a, v)):
+                marks[1][i] = v
+    assert (frag.projective_at, frag.injective_at) == marks

@@ -275,3 +275,26 @@ def test_extension_counts_multiplicities(alg_b):
     q = gabriel_quiver(ext)
     arrows = [(a.source, a.target) for a in q.arrows if a.source == new_v]
     assert arrows == [(new_v, "1"), (new_v, "1")]
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
+def test_extension_m_part_matches_basis_action_reference(field):
+    # b_k . b_j for an m-part element b_k and a basis element b_j of the
+    # base is the image of b_k's coordinate vector under the action of b_j
+    from test_repmod import _action_cases, _reference_multiples
+    for a, nodes in _action_cases(field):
+        f = a.field
+        na = a.dim
+        for m in list(nodes[:6]) + [direct_sum(a, list(nodes[:3]))]:
+            ext = one_point_extension(a, m)
+            off = m.offsets()
+            for v in range(len(a.vertices)):
+                for i in range(m.dims[v]):
+                    unit = [f.one() if r == i else f.zero() for r in range(m.dims[v])]
+                    images = _reference_multiples(m, v, unit)
+                    for j in range(na):
+                        expected = [f.zero()] * ext.dim
+                        if j in images:
+                            w0 = na + 1 + off[a.target[j]]
+                            expected[w0:w0 + len(images[j])] = images[j]
+                        assert ext.mult[na + 1 + off[v] + i][j] == expected

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -255,7 +256,7 @@ def test_projective_cover_matches_basis_action_reference(name, field):
     nodes = knit(a, 60).nodes
     assert nodes
     # the duals live over the opposite algebra, whose basis expressions are
-    # solved for from the structure constants, not read off a path basis
+    # the path basis's words read backwards, not the paths themselves
     for m in list(nodes) + [dual_module(n) for n in nodes]:
         psum, epi = projective_cover(m)
         assert [b.data for b in epi.blocks] == _reference_cover_blocks(psum, m, epi)
@@ -317,3 +318,151 @@ def test_projective_built_once_per_algebra(field):
             fresh = _build_projective(alg, v)
             assert fresh is not p
             assert fresh.key() == p.key() and fresh.label == p.label
+
+
+# ---------------------------------------------------------------------------
+# the action by arrow words against the total-space action reference
+
+
+def _reference_multiples(m, v, vec):
+    """{k: vec . b_k} for the basis elements leaving vertex index v, read off
+    the total-space action matrices of m."""
+    a = m.algebra
+    off = m.offsets()
+    total = [a.field.zero()] * m.total_dim
+    total[off[v]:off[v] + m.dims[v]] = vec
+    out = {}
+    for k, act in enumerate(m.basis_action()):
+        if a.source[k] == v:
+            w = a.target[k]
+            out[k] = act.apply(total)[off[w]:off[w] + m.dims[w]]
+    return out
+
+
+def _three_vertex_rebased(field):
+    from quiverkit.algebra import build_algebra
+    from quiverkit.quiver import parse_presentation
+    return _rebased_arrows(build_algebra(parse_presentation(
+        f"field: {field}\nvertices: 1 2 3\n"
+        "arrows: a: 1 -> 2, b: 1 -> 2, c: 2 -> 3\nrelations: a*c\n")))
+
+
+@functools.lru_cache(maxsize=None)
+def _action_cases(field):
+    """(algebra, modules): the knit nodes of every finite fixture, and of
+    the three-vertex algebra whose basis expressions have several terms."""
+    from quiverkit.arquiver import knit
+    algebras = [_fixture_over(name, field) for name in FINITE_FIXTURES]
+    algebras.append(_rebased_arrows(algebras[0]))
+    cases = [(a, knit(a, 60).nodes) for a in algebras]
+    # representation-infinite: the first twelve nodes
+    three = _three_vertex_rebased(field)
+    return cases + [(three, knit(three, 12).nodes)]
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
+def test_right_multiples_match_basis_action_reference(field):
+    from quiverkit.repmod import right_multiples
+    for a, nodes in _action_cases(field):
+        for m in list(nodes) + [dual_module(n) for n in nodes]:
+            f = m.algebra.field
+            for v in range(len(a.vertices)):
+                for c in range(m.dims[v]):
+                    unit = [f.one() if i == c else f.zero() for i in range(m.dims[v])]
+                    assert right_multiples(m, v, unit) == _reference_multiples(m, v, unit)
+
+
+def _reference_annihilator(a, modules):
+    """The annihilator's echelon basis, from the kernel of the total-space
+    action matrices' entries."""
+    from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
+    rows = []
+    for m in modules:
+        actions = m.basis_action()
+        for i in range(m.total_dim):
+            for j in range(m.total_dim):
+                rows.append([actions[k].data[i][j] for k in range(a.dim)])
+    tracker = SpanTracker(a.dim, a.field)
+    for vec in kernel_basis(Matrix(a.field, rows, len(rows), a.dim)):
+        tracker.add(vec)
+    return tracker.rows
+
+
+def _reference_restriction_blocks(m, quot):
+    """The arrow blocks of m over the quotient, summed from the total-space
+    action matrices of the arrow representatives' parent coordinates."""
+    a = m.algebra
+    f = a.field
+    off = m.offsets()
+    blocks = {}
+    for rep in quot.arrow_reps:
+        s = a.vertex_index(quot.vertices[rep.source])
+        t = a.vertex_index(quot.vertices[rep.target])
+        blk = [[f.zero()] * m.dims[s] for _ in range(m.dims[t])]
+        for pos, c in enumerate(rep.vector):
+            act = m.basis_action()[quot.parent_basis[pos]]
+            for i in range(m.dims[t]):
+                for j in range(m.dims[s]):
+                    blk[i][j] = f.add(blk[i][j], f.mul(c, act.data[off[t] + i][off[s] + j]))
+        blocks[rep.name] = blk
+    return blocks
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
+def test_tilted_quotient_and_restriction_match_reference(field):
+    from quiverkit.arquiver import tilted_quotient
+    from quiverkit.repmod import restrict_along_quotient
+    quotients = 0
+    for a, nodes in _action_cases(field):
+        # runs of four consecutive knit nodes
+        for lo in range(0, len(nodes) - 3, 3):
+            sigma = nodes[lo:lo + 4]
+            tq = tilted_quotient(a, sigma)
+            assert tq.annihilator.basis == _reference_annihilator(a, sigma)
+            if tq.quotient is a:
+                continue
+            quotients += 1
+            for m in sigma:
+                restricted = restrict_along_quotient(m, tq.quotient)
+                expected = _reference_restriction_blocks(m, tq.quotient)
+                assert {name: blk.data for name, blk in restricted.mats.items()} == expected
+    assert quotients >= 10
+
+
+def test_module_json_validates_structure_constants(alg_b):
+    # over a one-point extension (no presentation) the check runs on the
+    # structure constants
+    from quiverkit.extensions import one_point_extension
+    ext = one_point_extension(
+        alg_b, direct_sum(alg_b, [projective(alg_b, v) for v in "123"]))
+    assert ext.origin is None
+    for v in ext.vertices:
+        m = projective(ext, v)
+        assert module_from_json(ext, module_to_json(m)).key() == m.key()
+    data = module_to_json(projective(ext, "1"))
+    # corrupt one action so that e*a = 0 no longer acts as zero
+    data["actions"]["e"] = [[str(1)]]
+    with pytest.raises(ModuleError):
+        module_from_json(ext, data)
+
+
+def test_opposite_expressions_multiply_out(alg_b, alg_bprime):
+    from quiverkit.algebra import quotient_by_vertex
+    from quiverkit.extensions import one_point_extension
+    algebras = [_fixture_over(name, field) for name in FINITE_FIXTURES
+                for field in ("rational", "gf(3)")]
+    algebras += [quotient_by_vertex(alg_bprime, "5"),
+                 one_point_extension(alg_b, simple(alg_b, "2")),
+                 _rebased_arrows(alg_b), _three_vertex_rebased("rational"),
+                 _three_vertex_rebased("gf(3)")]
+    for a in algebras:
+        op = a.opposite()
+        f = op.field
+        for k, terms in enumerate(op.basis_expressions()):
+            acc = [f.zero()] * op.dim
+            for coeff, v0, word in terms:
+                x = op.unit(op.idempotents[v0])
+                for ai in word:
+                    x = op.mul_vec(x, list(op.arrow_reps[ai].vector))
+                acc = [f.add(y, f.mul(coeff, w)) for y, w in zip(acc, x)]
+            assert acc == op.unit(k)
