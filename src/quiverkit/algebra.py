@@ -48,7 +48,7 @@ class BasedAlgebra:
 
     def __init__(self, field, vertices, labels, source, target, idempotents,
                  radical, mult, arrow_reps, origin=None, parent=None,
-                 parent_basis=None):
+                 parent_basis=None, ideal=None):
         self.field = field
         self.vertices = tuple(vertices)
         self.labels = list(labels)
@@ -61,6 +61,7 @@ class BasedAlgebra:
         self.origin = origin
         self.parent = parent
         self.parent_basis = parent_basis
+        self.ideal = ideal  # the ideal of the parent that this is the quotient by
         self.dim = len(self.labels)
         self._expressions = None
         self._opposite = None
@@ -579,7 +580,7 @@ def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
     ]
     out = BasedAlgebra(
         f, vertices, labels, source, target, idempotents, radical, mult,
-        arrow_reps=[], parent=a, parent_basis=list(surviving),
+        arrow_reps=[], parent=a, parent_basis=list(surviving), ideal=ideal,
     )
     out.arrow_reps = _derive_arrow_reps(out)
     return out

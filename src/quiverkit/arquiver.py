@@ -1,13 +1,13 @@
 """Auslander-Reiten quiver fragments and slice machinery.
 
-knit() gathers the indecomposables of the component(s) touching the
-projectives: it seeds with the projectives, injectives and simples,
-closes under summands of radicals of projectives and socle factors of
-injectives, and saturates the translation orbits with homologically
-computed translates.  On a closed (complete) fragment the arrows are the
-irreducible maps, computed exactly as dim rad(X,Y)/rad^2(X,Y) with the
-compositions running over all fragment nodes; every mesh is then checked
-against the dimension identity of its almost split sequence.
+knit() builds the AR quiver by almost split sequences.  Seeded with the
+projectives, injectives and simples, it adds breadth first the summands of
+rad P(v) (arrows into P(v)) and I(v)/soc (arrows out of I(v)) and the
+translates tau and tau^-1 of every node.  Whenever that queue drains, the
+almost split sequence 0 -> tau Y -> E -> Y -> 0 ending at the next
+non-projective node Y gives the arrows into Y, and the new summands of E
+go back into the queue.  So one construction gives the nodes, translates
+and arrows, and a capped fragment carries only arrows read off modules.
 
 The axiom checkers evaluate slice, local-slice and (left-)section
 conditions literally on a complete fragment and report every violated
@@ -28,12 +28,11 @@ from quiverkit.algebra import (
     quotient_by_vertex,
 )
 from quiverkit.extensions import one_point_extension, relation_extension
-from quiverkit.homology import tau, tau_inv
+from quiverkit.homology import almost_split_middle, start_resolution, tau, tau_inv
 from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
 from quiverkit.repmod import (
     Module,
     decompose,
-    end_radical_basis,
     hom_basis,
     injective,
     is_isomorphic,
@@ -58,11 +57,14 @@ class ARQuiverError(Exception):
 class ARFragment:
     """A finite piece of the AR quiver.
 
-    nodes hold canonical indecomposable representatives (first produced
-    wins); arrows[(i, j)] is the number of irreducible maps node i -> j;
-    tau_links[i] = index of the translate of node i (absent for
-    projectives); complete means the closure finished under the node cap
-    and every mesh balanced.
+    nodes hold indecomposable representatives (first found wins).
+    arrows[(i, j)] is the multiplicity of node i in rad P when node j is P,
+    of node j in I/soc when node i is I, and otherwise of node i in the
+    middle of the almost split sequence ending at node j; a capped fragment
+    carries fewer arrows, never guessed ones.  tau_links[i] is the index of
+    the translate of node i (absent for projectives).  incomplete_reason is
+    None when the knit drained every queue under its caps, else the cap that
+    tripped: "node_cap", or "dim_cap" with the module's dimension.
     """
 
     algebra: BasedAlgebra
@@ -72,9 +74,13 @@ class ARFragment:
     tau_links: dict
     projective_at: dict   # node index -> vertex id
     injective_at: dict
-    complete: bool
+    incomplete_reason: str
     _reach: list = dataclass_field(default=None, repr=False)
     _sectional: list = dataclass_field(default=None, repr=False)
+
+    @property
+    def complete(self):
+        return self.incomplete_reason is None
 
     def find(self, module) -> int:
         for i, node in enumerate(self.nodes):
@@ -165,6 +171,7 @@ class ARFragment:
             ],
             "tau_links": {str(i): j for i, j in sorted(self.tau_links.items())},
             "complete": self.complete,
+            "incomplete_reason": self.incomplete_reason,
         }
 
     def to_dot(self):
@@ -184,25 +191,30 @@ class ARFragment:
 def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     """Gather AR-quiver components touching the projectives, up to node_cap.
 
-    Cap exhaustion (too many nodes, or a translate larger than dim_cap, the
+    Cap exhaustion (too many nodes, or a module larger than dim_cap, the
     signature of a representation-infinite component) is reported through
-    complete=False, never an error.
+    incomplete_reason, never an error.
     """
     if node_cap < len(a.vertices):
         raise ARQuiverError("node_cap smaller than the number of vertices")
+    nv = len(a.vertices)
     nodes = []
     labels = []
     label_count = {}
     projective_at = {}
     injective_at = {}
+    reason = None  # the first cap that tripped
 
     def add_node(m):
+        nonlocal reason
         if m.is_zero():
             return None
         for i, node in enumerate(nodes):
             if node.dims == m.dims and is_isomorphic(node, m):
                 return i
         if len(nodes) >= node_cap or m.total_dim > dim_cap:
+            reason = reason or ("node_cap" if len(nodes) >= node_cap
+                                else f"dim_cap (a module of dimension {m.total_dim})")
             return -1
         lab = loewy_label(m)
         if lab in label_count:
@@ -216,156 +228,74 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
 
     # the seeds come first, so a later module isomorphic to P(v) or I(v) is
     # found as the seed's node: marking the seeds marks every node
-    complete = True
     queue = []
     for marks, seed in ((projective_at, projective), (injective_at, injective),
                         ({}, simple)):
         for v in a.vertices:
             idx = add_node(seed(a, v))
-            if idx == -1:
-                complete = False
-            elif idx is not None:
+            if idx is not None and idx >= 0:
                 marks[idx] = v
                 if idx == len(nodes) - 1:
                     queue.append(idx)
 
+    arrows = {}
     tau_of = {}
-    tau_inv_of = {}
+    resolutions = {}  # node -> its resolution, held until its sequence is built
     processed = set()
-    while queue and complete:
-        i = queue.pop(0)
-        if i in processed:
-            continue
-        processed.add(i)
-        m = nodes[i]
-        new_modules = []
-        if i in projective_at:
-            for summand, mult in decompose(radical_of(m)):
-                new_modules.append(("radP", summand))
-        if i in injective_at:
-            for summand, mult in decompose(socle_quotient(m)):
-                new_modules.append(("Isoc", summand))
-        if i not in projective_at:
-            new_modules.append(("tau", tau(m)))
-        if i not in injective_at:
-            new_modules.append(("tauinv", tau_inv(m)))
-        for kind, mod in new_modules:
+    sequenced = 0  # the nodes below this index have their sequences built
+    while reason is None:
+        if queue:
+            # breadth first: rad P, I/soc, tau and tau^-1 of every node; a
+            # link found from the other end is not computed again
+            i = queue.pop(0)
+            if i in processed:
+                continue
+            processed.add(i)
+            m = nodes[i]
+            found = []  # (kind, module, multiplicity)
+            if i in projective_at:
+                found += [("in", s, mult) for s, mult in decompose(radical_of(m))]
+            if i in injective_at:
+                found += [("out", s, mult) for s, mult in decompose(socle_quotient(m))]
+            if i not in projective_at and i not in tau_of:
+                resolutions[i] = start_resolution(m)
+                found.append(("tau", tau(m, resolutions[i]), 1))
+            if i not in injective_at and i not in tau_of.values():
+                found.append(("tauinv", tau_inv(m), 1))
+        else:
+            # the queue drained: the almost split sequence ending at the
+            # next non-projective node gives the arrows into it
+            while sequenced < len(nodes) and sequenced in projective_at:
+                sequenced += 1
+            if sequenced == len(nodes):
+                break
+            i, sequenced = sequenced, sequenced + 1
+            y, ty = nodes[i], nodes[tau_of[i]]
+            res = resolutions.pop(i, None) or start_resolution(y)
+            found = [("in", s, mult) for s, mult in decompose(almost_split_middle(y, ty, res))]
+            if [sum(mult * s.dims[v] for _, s, mult in found) for v in range(nv)] != [
+                    y.dims[v] + ty.dims[v] for v in range(nv)]:
+                raise ARQuiverError(f"the almost split sequence ending at {labels[i]} "
+                                    "does not balance")
+        for kind, mod, mult in found:
             idx = add_node(mod)
             if idx == -1:
-                complete = False
                 break
             if idx is None:
                 continue
-            if kind == "tau":
+            if kind == "in":
+                arrows[(idx, i)] = mult
+            elif kind == "out":
+                arrows[(i, idx)] = mult
+            elif kind == "tau":
                 tau_of[i] = idx
-                tau_inv_of[idx] = i
-            elif kind == "tauinv":
-                tau_inv_of[i] = idx
+            else:
                 tau_of[idx] = i
             if idx not in processed:
                 queue.append(idx)
 
-    tau_links = dict(tau_of)
-    arrows = {}
-    if complete:
-        arrows = _irreducible_arrows(a, nodes)
-        # every mesh must balance: dim(middle of the sequence ending at M)
-        # equals dim M + dim tau M
-        for i in range(len(nodes)):
-            if i in projective_at:
-                continue
-            t = tau_links.get(i)
-            if t is None:
-                complete = False
-                break
-            middle = [0] * len(a.vertices)
-            for (x, y), mult in arrows.items():
-                if y == i:
-                    for v in range(len(middle)):
-                        middle[v] += mult * nodes[x].dims[v]
-            expect = [nodes[i].dims[v] + nodes[t].dims[v] for v in range(len(middle))]
-            if middle != expect:
-                complete = False
-                break
-    else:
-        arrows = _structural_arrows(a, nodes, projective_at, injective_at, tau_links)
-
-    return ARFragment(a, nodes, labels, arrows, tau_links,
-                      projective_at, injective_at, complete)
-
-
-def _irreducible_arrows(a, nodes):
-    """Arrow multiplicities dim rad(X,Y)/rad^2(X,Y) over the full node set."""
-    f = a.field
-    n = len(nodes)
-    rad_bases = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                ends = hom_basis(nodes[i], nodes[i])
-                rad_bases[(i, j)] = end_radical_basis(ends)
-            else:
-                rad_bases[(i, j)] = hom_basis(nodes[i], nodes[j])
-    arrows = {}
-    for i in range(n):
-        for j in range(n):
-            base = rad_bases[(i, j)]
-            if not base:
-                continue
-            dim_rad = len(base)
-            size = sum(nodes[j].dims[v] * nodes[i].dims[v] for v in range(len(a.vertices)))
-            tracker = SpanTracker(size, f)
-            for z in range(n):
-                for g in rad_bases[(z, j)]:
-                    for h in rad_bases[(i, z)]:
-                        tracker.add(g.compose(h).flatten())
-            mult = dim_rad - tracker.dim
-            if mult > 0:
-                arrows[(i, j)] = mult
-    return arrows
-
-
-def _structural_arrows(a, nodes, projective_at, injective_at, tau_links):
-    """Best-effort arrows on an incomplete fragment: radicals of projectives,
-    socle factors of injectives, and translation-shifted meshes where the
-    shift chain resolves inside the fragment."""
-    known = {}
-    for i, v in projective_at.items():
-        for summand, mult in decompose(radical_of(nodes[i])):
-            for j, node in enumerate(nodes):
-                if node.dims == summand.dims and is_isomorphic(node, summand):
-                    known[(j, i)] = mult
-                    break
-    for i, v in injective_at.items():
-        for summand, mult in decompose(socle_quotient(nodes[i])):
-            for j, node in enumerate(nodes):
-                if node.dims == summand.dims and is_isomorphic(node, summand):
-                    known[(i, j)] = mult
-                    break
-
-    def resolve(i, j, seen):
-        if (i, j) in known:
-            return known[(i, j)]
-        if (i, j) in seen:
-            return None
-        seen.add((i, j))
-        if j in projective_at:
-            return known.get((i, j), 0)
-        t = tau_links.get(j)
-        if t is None:
-            return None
-        return resolve(t, i, seen)
-
-    arrows = dict(known)
-    n = len(nodes)
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in arrows:
-                continue
-            m = resolve(i, j, set())
-            if m:
-                arrows[(i, j)] = m
-    return arrows
+    return ARFragment(a, nodes, labels, arrows, tau_of,
+                      projective_at, injective_at, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ def _fragment_summary(frag):
 
 
 def _fragment_text(frag):
-    lines = [f"{len(frag.nodes)} nodes, complete={frag.complete}"]
+    lines = [f"{len(frag.nodes)} nodes, complete={frag.complete}"
+             + (f" ({frag.incomplete_reason})" if frag.incomplete_reason else "")]
     for i, node in enumerate(frag.nodes):
         tags = []
         if i in frag.projective_at:

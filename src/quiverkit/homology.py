@@ -1,5 +1,6 @@
-"""Minimal projective resolutions, Ext groups, transpose, and the
-Auslander-Reiten translation tau = D Tr (with inverse Tr D).
+"""Minimal projective resolutions, Ext groups, transpose, the
+Auslander-Reiten translation tau = D Tr (with inverse Tr D), and the
+almost split sequence ending at a module.
 
 All Ext computations run over minimal projective resolutions; injective
 arguments are converted through the standard duality D into projective
@@ -10,7 +11,8 @@ A map out of a resolution term, a sum of projectives e_v A, is handled by
 its generator images: Hom(e_v A, N) = N e_v, so Ext cocycles, coboundaries,
 chain lifts and the transpose are all read from or built out of those
 images (`ProjectiveSum.generator_images`, `ProjectiveSum.yoneda_basis`,
-`psum_map`), with no Hom system to solve.  `hom_basis` serves Ext^0 only.
+`psum_map`), with no Hom system to solve.  `hom_basis` serves Ext^0 and
+End(tau Y) only.
 """
 
 from __future__ import annotations
@@ -18,15 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, matmul, solve
 from quiverkit.repmod import (
     Module,
     ModuleMap,
     cokernel_of,
+    combine_maps,
+    direct_sum,
     dual_module,
+    end_radical_basis,
     hom_basis,
     kernel_of,
-    min_proj_presentation,
     projective_cover,
     projective_sum,
     psum_map,
@@ -61,29 +65,31 @@ class Resolution:
             return self.terms[k].module
         return None
 
+    def extend(self, length):
+        """Extend out to terms[length] or a vanishing kernel; returns self."""
+        while len(self.terms) <= length and not self.kernels[-1][0].is_zero():
+            ker, incl = self.kernels[-1]
+            pk, cover = projective_cover(ker)
+            self.terms.append(pk)
+            self.diffs.append(incl.compose(cover))
+            # the new kernel sits inside the new projective term
+            self.kernels.append(kernel_of(cover, label="syzygy"))
+        return self
+
+
+def start_resolution(m: Module) -> Resolution:
+    """The uncached start of m's resolution: its cover and that kernel."""
+    p0, epi = projective_cover(m)
+    return Resolution(m, [p0], [], epi, [kernel_of(epi, label="syzygy")])
+
 
 def min_resolution(m: Module, length: int) -> Resolution:
     """Minimal projective resolution of m out to terms[length] (cached)."""
-    a = m.algebra
-    cache = a._resolutions
+    cache = m.algebra._resolutions
     key = m.key()
-    res = cache.get(key)
-    if res is None:
-        p0, epi = projective_cover(m)
-        ker, incl = kernel_of(epi, label="syzygy")
-        res = Resolution(m, [p0], [], epi, [(ker, incl)])
-        cache[key] = res
-    while len(res.terms) <= length and not res.kernels[-1][0].is_zero():
-        ker, incl = res.kernels[-1]
-        pk, cover = projective_cover(ker)
-        res.terms.append(pk)
-        res.diffs.append(incl.compose(cover))
-        ker2, incl2 = kernel_of(cover, label="syzygy")
-        # the new kernel sits inside the new projective term
-        res.kernels.append((ker2, incl2))
-        if len(res.terms) > length + 1:
-            break
-    return res
+    if key not in cache:
+        cache[key] = start_resolution(m)
+    return cache[key].extend(length)
 
 
 def proj_dim(m: Module, cap: int = 10):
@@ -171,19 +177,18 @@ def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
 # transpose and tau
 
 
-def transpose(m: Module) -> Module:
-    """Tr(M) over the opposite algebra, from a minimal presentation.
+def transpose(m: Module, res: Resolution = None) -> Module:
+    """Tr(M) over the opposite algebra, from a minimal presentation (read
+    from res, m's resolution, when the caller holds one).
 
     Projective summands of M contribute nothing (their minimal presentation
     has no first term), so Tr of a projective is zero.
     """
-    a = m.algebra
-    if m.is_zero():
-        return zero_module(a.opposite())
-    p1, p0, d1, _ = min_proj_presentation(m)
-    op = a.opposite()
-    if not p1.verts:
+    op = m.algebra.opposite()
+    res = (res or start_resolution(m)).extend(1)
+    if len(res.terms) < 2:
         return zero_module(op)
+    p0, p1, d1 = res.terms[0], res.terms[1], res.diffs[0]
     # The alpha-th summand part of d1's beta-th generator image lies in
     # e_va A e_vb = e_vb A^op e_va, whose basis, in the same order, is the
     # beta-th summand of q1 at va.  Hom(d1, A) sends the alpha-th generator
@@ -191,11 +196,12 @@ def transpose(m: Module) -> Module:
     q0 = projective_sum(op, p0.verts)
     q1 = projective_sum(op, p1.verts)
     images = p1.generator_images(d1)
+    offsets = {vb: p0.summand_offsets(vb) for vb in set(p1.verts)}
     gen_images = []
     for alpha in range(len(p0.verts)):
         img = []
         for beta, vb in enumerate(p1.verts):
-            off, d = p0.summand_offsets(vb)[alpha]
+            off, d = offsets[vb][alpha]
             img.extend(images[beta][off:off + d])
         gen_images.append(img)
     g = psum_map(q0, q1.module, gen_images)
@@ -203,9 +209,9 @@ def transpose(m: Module) -> Module:
     return coker
 
 
-def tau(m: Module) -> Module:
+def tau(m: Module, res: Resolution = None) -> Module:
     """Auslander-Reiten translate D Tr; projective summands map to zero."""
-    t = transpose(m)
+    t = transpose(m, res)
     out = dual_module(t)
     return Module(m.algebra, out.dims, out.mats, label=f"tau {m.label}")
 
@@ -215,6 +221,47 @@ def tau_inv(m: Module) -> Module:
     d = dual_module(m)
     t = transpose(d)
     return Module(m.algebra, t.dims, t.mats, label=f"tau- {m.label}")
+
+
+# ---------------------------------------------------------------------------
+# almost split sequences
+
+
+def almost_split_middle(y: Module, ty: Module, res: Resolution) -> Module:
+    """The middle term E of the almost split sequence 0 -> tau Y -> E -> Y -> 0.
+
+    y is indecomposable and not projective, ty is tau(y) and res is y's
+    resolution.  E is the pushout of P1 -> P0 along a cocycle xi: P1 ->
+    tau Y, coker(P1 -> P0 + tau Y), whose class lies in the socle of
+    Ext^1(Y, tau Y) as an End(tau Y)-module: the nonzero classes there are
+    those of the almost split sequence (Auslander-Reiten-Smalo V.2).  Unless
+    tau Y is a brick or Ext^1 a line, xi is a class that the trace-form
+    radical, which contains rad End(tau Y), kills; when none is left (small
+    characteristic) a HomologyError says so rather than guess.
+    """
+    a = y.algebra
+    f = a.field
+    _, reps = ext_dim(y, ty, 1, resolution=res.extend(2))
+    xi = reps[0]
+    p0, p1 = res.terms[0], res.terms[1]
+    ends = hom_basis(ty, ty) if len(reps) > 1 else []
+    if len(ends) > 1:
+        n = sum(ty.dims[v] for v in p1.verts)
+        bound = _precomposed_coordinates(p0.yoneda_basis(ty), res.diffs[0], p1)
+        # functionals on Hom(P1, tau Y) that vanish on the coboundaries
+        ann = Matrix(f, kernel_basis(Matrix(f, bound, len(bound), n)), cols=n)
+        rows = [row for rho in end_radical_basis(ends) for row in matmul(
+            ann, Matrix.from_columns(f, [p1.coordinates(rho.compose(r)) for r in reps], n)).data]
+        socle = kernel_basis(Matrix(f, rows, len(rows), len(reps)))
+        if not socle:
+            raise HomologyError(
+                f"no almost split class ending at dimension vector {list(y.dims)} "
+                f"over {f.name()}: the trace form misses rad End(tau) there")
+        xi = combine_maps(socle[0], reps, p1.module, ty)
+    blocks = [Matrix(f, d.data + x.data, cols=d.cols)
+              for d, x in zip(res.diffs[0].blocks, xi.blocks)]
+    pushout = ModuleMap(p1.module, direct_sum(a, [p0.module, ty]), blocks)
+    return cokernel_of(pushout, label=f"E({y.label})")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -161,19 +161,12 @@ def _validate_relations(m: Module):
     for rel in pres.relations:
         acc = None
         for coeff, names in rel.terms:
-            cur = None
             src = pres.quiver.arrow_by_name(names[0]).source
-            si = a.vertex_index(src)
-            cur = Matrix.identity(f, m.dims[si])
+            cur = Matrix.identity(f, m.dims[a.vertex_index(src)])
             for nm in names:
                 cur = matmul(m.mats[nm], cur)
-            term = Matrix(f, [[f.mul(coeff, x) for x in row] for row in cur.data],
-                          cur.rows, cur.cols)
-            acc = term if acc is None else Matrix(
-                f,
-                [[f.add(acc.data[i][j], term.data[i][j]) for j in range(acc.cols)]
-                 for i in range(acc.rows)],
-                acc.rows, acc.cols)
+            term = mat_scale(coeff, cur)
+            acc = term if acc is None else mat_add(acc, term)
         if acc is not None and not acc.is_zero():
             raise ModuleError("a relation does not act as zero")
 
@@ -364,15 +357,8 @@ def hom_basis(m: Module, n: Module):
                         idx = offs[i] + t * di + c
                         row[idx] = f.sub(row[idx], B.data[r][t])
                 rows.append(row)
-    if not rows:
-        vecs = []
-        for k in range(total):
-            v = [z] * total
-            v[k] = f.one()
-            vecs.append(v)
-    else:
-        # the system matrix owns the rows: one copy besides rref's own
-        vecs = kernel_basis(Matrix.wrap(f, rows, len(rows), total))
+    # the system matrix owns the rows: one copy besides rref's own
+    vecs = kernel_basis(Matrix.wrap(f, rows, len(rows), total))
     return [_unflatten_hom(m, n, v) for v in vecs]
 
 
@@ -701,22 +687,21 @@ def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
 
     The column of b_k in the c-th summand is gen_images[c] . b_k, read from
     `right_multiples` in basis order, the order of the summand's basis at
-    each vertex.
+    each vertex; the summands' columns follow one another, so each vertex's
+    next free column is all the layout needed.
     """
     a = psum.algebra
     f = a.field
     m = psum.module
     nv = len(a.vertices)
     blocks = [Matrix.zeros(f, target.dims[w], m.dims[w]) for w in range(nv)]
-    offsets = [psum.summand_offsets(w) for w in range(nv)]
+    col = [0] * nv  # the next free column at each vertex
     for c, v in enumerate(psum.verts):
-        filled = [0] * nv  # columns of this summand filled at each vertex
         for k, image in right_multiples(target, v, gen_images[c]).items():
             w = a.target[k]
-            col = offsets[w][c][0] + filled[w]
-            filled[w] += 1
             for i, x in enumerate(image):
-                blocks[w].data[i][col] = x
+                blocks[w].data[i][col[w]] = x
+            col[w] += 1
     return ModuleMap(m, target, blocks)
 
 
@@ -830,7 +815,9 @@ def _indecomposable_pieces(m: Module):
         if split is not None:
             a, b = split
             return _indecomposable_pieces(a) + _indecomposable_pieces(b)
-    if len(ends) - len(end_radical_basis(ends)) == 1:
+    # a module with a simple top is local, so indecomposable in every
+    # characteristic; otherwise the trace form decides
+    if len(top_generator_slots(m)) == 1 or len(ends) - len(end_radical_basis(ends)) == 1:
         return [m]
     raise DecompositionError(
         "could not certify indecomposability: End/rad has dimension > 1 "
@@ -880,23 +867,31 @@ def is_isomorphic(m: Module, n: Module) -> bool:
 
 def restrict_along_quotient(m: Module, quot: BasedAlgebra, label=None) -> Module:
     """View a module annihilated by the quotient ideal as a module over the
-    quotient algebra (whose basis is a subset of the parent's)."""
+    quotient algebra (whose basis is a subset of the parent's); raises
+    ModuleError when the ideal does not annihilate it."""
     a = m.algebra
     if quot.parent is not a:
         raise ModuleError("not a quotient of the module's algebra")
     f = a.field
-    old_index = {a.vertices[i]: i for i in range(len(a.vertices))}
-    dims = [m.dims[old_index[v]] for v in quot.vertices]
-    mats = {}
     z = f.zero()
-    unit_multiples = {}  # vertex index -> right multiples of each unit vector
+    # right multiples of each unit vector at each vertex
+    unit_multiples = [[right_multiples(m, v, unit)
+                       for unit in Matrix.identity(f, m.dims[v]).data]
+                      for v in range(len(a.vertices))]
+    # u.x = 0 for every basis vector u of m and x in a basis of the ideal
+    for images in (im for per_unit in unit_multiples for im in per_unit):
+        for x in quot.ideal.basis:
+            acc = [[z] * d for d in m.dims]
+            for k, image in images.items():
+                w = a.target[k]
+                acc[w] = [f.add(s, f.mul(x[k], y)) for s, y in zip(acc[w], image)]
+            if any(map(any, acc)):
+                raise ModuleError("the quotient's ideal does not annihilate the module")
+    dims = [m.dims[a.vertex_index(v)] for v in quot.vertices]
+    mats = {}
     for rep in quot.arrow_reps:
-        src_old = old_index[quot.vertices[rep.source]]
-        tgt_old = old_index[quot.vertices[rep.target]]
-        if src_old not in unit_multiples:
-            unit_multiples[src_old] = [
-                right_multiples(m, src_old, unit)
-                for unit in Matrix.identity(f, m.dims[src_old]).data]
+        src_old = a.vertex_index(quot.vertices[rep.source])
+        tgt_old = a.vertex_index(quot.vertices[rep.target])
         blk = Matrix.zeros(f, m.dims[tgt_old], m.dims[src_old])
         for j, images in enumerate(unit_multiples[src_old]):
             for pos, c in enumerate(rep.vector):

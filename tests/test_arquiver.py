@@ -11,11 +11,13 @@ from quiverkit.arquiver import (
     knit,
     tilted_quotient,
 )
-from quiverkit.homology import tau
+from quiverkit.homology import HomologyError, tau
+from quiverkit.linalg import SpanTracker
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import (
     decompose,
     direct_sum,
+    end_radical_basis,
     hom_basis,
     injective,
     is_isomorphic,
@@ -334,12 +336,18 @@ def _knit_over(name, field):
             sorted(n.dims for n in frag.nodes), arrows)
 
 
-@pytest.mark.parametrize("name", ["d4_clustertilted.q", "d4_tilted.q",
-                                  "d4_tilted_ext_s2.q", "d5_clustertilted.q", "A6"])
-def test_knit_agrees_over_rationals_and_large_prime(name):
+_AGREE_NAMES = ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
+                "d5_clustertilted.q", "A6"]
+
+
+@pytest.mark.parametrize("name,field", [
+    pytest.param(name, "gf(32003)", id=name) for name in _AGREE_NAMES] + [
+    pytest.param(name, field, id=f"{name}-{field}")
+    for field in ("gf(3)", "gf(5)", "gf(7)") for name in _AGREE_NAMES])
+def test_knit_agrees_over_rationals_and_large_prime(name, field):
     complete, count, dims, arrows = _knit_over(name, "rational")
     assert complete
-    assert _knit_over(name, "gf(32003)") == (complete, count, dims, arrows)
+    assert _knit_over(name, field) == (complete, count, dims, arrows)
 
 
 @pytest.mark.parametrize("name,node_cap,dim_cap", [
@@ -361,3 +369,156 @@ def test_knit_marks_match_brute_force(name, node_cap, dim_cap):
             if is_isomorphic(node, injective(a, v)):
                 marks[1][i] = v
     assert (frag.projective_at, frag.injective_at) == marks
+
+
+# ---------------------------------------------------------------------------
+# the knit by almost split sequences against independent oracles
+
+
+def _irreducible_arrows(a, nodes):
+    """Oracle: arrow multiplicities dim rad(X,Y)/rad^2(X,Y) over the full
+    node set, with the compositions running over all nodes."""
+    f = a.field
+    n = len(nodes)
+    rad_bases = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                rad_bases[(i, j)] = end_radical_basis(hom_basis(nodes[i], nodes[i]))
+            else:
+                rad_bases[(i, j)] = hom_basis(nodes[i], nodes[j])
+    arrows = {}
+    for i in range(n):
+        for j in range(n):
+            base = rad_bases[(i, j)]
+            if not base:
+                continue
+            size = sum(nodes[j].dims[v] * nodes[i].dims[v] for v in range(len(a.vertices)))
+            tracker = SpanTracker(size, f)
+            for z in range(n):
+                for g in rad_bases[(z, j)]:
+                    for h in rad_bases[(i, z)]:
+                        tracker.add(g.compose(h).flatten())
+            mult = len(base) - tracker.dim
+            if mult > 0:
+                arrows[(i, j)] = mult
+    return arrows
+
+
+def _cyclic_nakayama(n, k, field):
+    """The oriented n-cycle modulo all paths of length k."""
+    vertices = " ".join(str(i) for i in range(1, n + 1))
+    arrows = ", ".join(f"a{i}: {i} -> {i % n + 1}" for i in range(1, n + 1))
+    relations = ", ".join("*".join(f"a{(i + j) % n + 1}" for j in range(k))
+                          for i in range(n))
+    return parse_presentation(f"field: {field}\nvertices: {vertices}\n"
+                              f"arrows: {arrows}\nrelations: {relations}\n")
+
+
+def _arcs(n, k):
+    """Dimension vectors of the indecomposables of the cyclic Nakayama
+    algebra (n, k): arcs of length 1..k starting at each vertex."""
+    out = []
+    for start in range(n):
+        for length in range(1, k + 1):
+            dims = [0] * n
+            for step in range(length):
+                dims[(start + step) % n] += 1
+            out.append(tuple(dims))
+    return sorted(out)
+
+
+def _algebra_over(name, field):
+    from quiverkit.cli import _load_presentation, fixture_path
+    if name == "A6":
+        return build_algebra(parse_presentation(f"field: {field}\n" + _A6))
+    if name.startswith("cyclic"):
+        n, k = (int(x) for x in name.split("_")[1:])
+        return build_algebra(_cyclic_nakayama(n, k, field))
+    return build_algebra(_load_presentation(fixture_path(name), field))
+
+
+_COMPLETE_NAMES = ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
+                   "d5_clustertilted.q", "A6", "cyclic_3_4"]
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)"])
+@pytest.mark.parametrize("name", _COMPLETE_NAMES)
+def test_knit_arrows_equal_irreducible_maps(name, field):
+    a = _algebra_over(name, field)
+    frag = knit(a, 60)
+    assert frag.complete
+    assert frag.arrows == _irreducible_arrows(a, frag.nodes)
+
+
+@pytest.mark.parametrize("name", _COMPLETE_NAMES)
+def test_mesh_identity_on_complete_fragments(name):
+    frag = knit(_algebra_over(name, "gf(32003)"), 60)
+    assert frag.complete
+    nv = len(frag.algebra.vertices)
+    for i in range(len(frag.nodes)):
+        if i in frag.projective_at:
+            continue
+        t = frag.tau_links[i]
+        middle = [0] * nv
+        for (x, y), mult in frag.arrows.items():
+            if y == i:
+                for v in range(nv):
+                    middle[v] += mult * frag.nodes[x].dims[v]
+        assert middle == [frag.nodes[i].dims[v] + frag.nodes[t].dims[v] for v in range(nv)]
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (6, 4), (5, 5)])
+def test_cyclic_nakayama_knit_closes(n, k):
+    frag = knit(_algebra_over(f"cyclic_{n}_{k}", "gf(32003)"), 2 * n * k)
+    assert frag.complete and frag.incomplete_reason is None
+    assert len(frag.nodes) == n * k
+    assert sorted(m.dims for m in frag.nodes) == _arcs(n, k)
+
+
+@pytest.mark.parametrize("field", ["gf(3)", "gf(5)", "gf(7)"])
+@pytest.mark.parametrize("n,k", [(3, 4), (6, 4), (5, 5), (4, 6)])
+def test_cyclic_nakayama_knit_agrees_over_small_fields(n, k, field):
+    def data(f):
+        frag = knit(_algebra_over(f"cyclic_{n}_{k}", f), 2 * n * k)
+        return (frag.complete, [m.dims for m in frag.nodes], frag.arrows, frag.tau_links)
+    assert data(field) == data("rational")
+
+
+def test_almost_split_class_needs_the_radical():
+    # k[x]/(x^4): End of k[x]/(x^2) is not a field, and Ext^1 from it to its
+    # translate is a plane, so the sequence needs rad End(tau Y)
+    text = "vertices: 1\narrows: x: 1 -> 1\nrelations: x*x*x*x\n"
+    a = build_algebra(parse_presentation("field: rational\n" + text))
+    frag = knit(a, 10)
+    assert frag.complete and len(frag.nodes) == 4
+    assert frag.arrows == _irreducible_arrows(a, frag.nodes)
+    # over GF(2) the trace form cannot see that radical: a domain error,
+    # never a guessed sequence
+    a2 = build_algebra(parse_presentation("field: gf(2)\n" + text))
+    with pytest.raises(HomologyError, match="gf\\(2\\)"):
+        knit(a2, 10)
+
+
+def test_incomplete_reason_names_the_cap(alg_a31, alg_bprime, frag_b):
+    assert frag_b.incomplete_reason is None
+    frag = knit(alg_a31, 40)
+    assert frag.incomplete_reason == "node_cap"
+    assert frag.to_json()["incomplete_reason"] == "node_cap"
+    frag = knit(alg_bprime, 60, dim_cap=3)
+    assert not frag.complete
+    assert frag.incomplete_reason == "dim_cap (a module of dimension 4)"
+
+
+@pytest.mark.parametrize("cap", [16, 18, 20, 23])
+def test_capped_fragment_carries_exact_arrows_only(cap):
+    # the capped knit finds a prefix of the complete knit's nodes, and each
+    # of its arrows is an arrow of the complete fragment; past 18 nodes the
+    # cap trips after some sequences were built
+    a = _algebra_over("cyclic_6_4", "gf(32003)")
+    full, capped = knit(a, 48), knit(a, cap)
+    assert full.complete and capped.incomplete_reason == "node_cap"
+    assert [m.dims for m in capped.nodes] == [m.dims for m in full.nodes[:cap]]
+    assert capped.arrows
+    for (i, j), m in capped.arrows.items():
+        assert full.arrows.get((i, j)) == m

@@ -198,3 +198,11 @@ def test_decomposition_error_is_a_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "extend", str(p), "P(1)+P(1)")
     assert code == 1
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_knit_names_the_tripped_cap(capsys):
+    code, out, _ = run(capsys, "--cap", "8", "knit", _fixture("a31_clustertilted.q"))
+    assert code == 0 and out.splitlines()[0] == "8 nodes, complete=False (node_cap)"
+    code, out, _ = run(capsys, "--cap", "8", "--format", "json", "knit",
+                       _fixture("a31_clustertilted.q"))
+    assert code == 0 and json.loads(out)["incomplete_reason"] == "node_cap"

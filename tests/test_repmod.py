@@ -466,3 +466,28 @@ def test_opposite_expressions_multiply_out(alg_b, alg_bprime):
                     x = op.mul_vec(x, list(op.arrow_reps[ai].vector))
                 acc = [f.add(y, f.mul(coeff, w)) for y, w in zip(acc, x)]
             assert acc == op.unit(k)
+
+
+def test_restriction_refuses_modules_the_ideal_does_not_annihilate():
+    # the ideal A e_x A annihilates M exactly when M vanishes at x; P(v) and
+    # I(v) of the four finite fixtures along every vertex quotient: 164 cases
+    from quiverkit.algebra import build_algebra, quotient_by_vertex
+    from quiverkit.corpus import load_fixture
+    from quiverkit.repmod import restrict_along_quotient
+    cases = refused = 0
+    for name in ("d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
+                 "d5_clustertilted.q"):
+        a = build_algebra(load_fixture(name))
+        for x in a.vertices:
+            quot = quotient_by_vertex(a, x)
+            for v in a.vertices:
+                for m in (projective(a, v), injective(a, v)):
+                    cases += 1
+                    if m.dims[a.vertex_index(x)]:
+                        refused += 1
+                        with pytest.raises(ModuleError, match="annihilate"):
+                            restrict_along_quotient(m, quot)
+                    else:
+                        r = restrict_along_quotient(m, quot)
+                        assert module_from_json(quot, module_to_json(r)).dims == r.dims
+    assert cases == 164 and 0 < refused < cases
