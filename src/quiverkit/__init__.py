@@ -61,7 +61,9 @@ from quiverkit.repmod import (
     top_of,
 )
 from quiverkit.homology import (
+    ExtGroup,
     ext_dim,
+    ext_group,
     global_dim,
     inj_dim,
     proj_dim,
@@ -108,8 +110,8 @@ __all__ = [
     "hom_basis", "injective", "is_isomorphic", "min_proj_presentation",
     "module_from_json", "module_to_json", "projective",
     "projective_cover", "radical_of", "simple", "socle_of", "top_of",
-    "ext_dim", "global_dim", "inj_dim", "proj_dim", "tau", "tau_inv",
-    "transpose",
+    "ExtGroup", "ext_dim", "ext_group", "global_dim", "inj_dim", "proj_dim",
+    "tau", "tau_inv", "transpose",
     "Bimodule", "CommutationReport", "ext2_bimodule", "lift_projective",
     "one_point_coextension", "one_point_extension", "relation_extension",
     "verify_extension_commutes",

@@ -32,6 +32,7 @@ from quiverkit.homology import almost_split_middle, start_resolution, tau, tau_i
 from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
 from quiverkit.repmod import (
     Module,
+    _indec_iso,
     decompose,
     hom_basis,
     injective,
@@ -84,7 +85,7 @@ class ARFragment:
 
     def find(self, module) -> int:
         for i, node in enumerate(self.nodes):
-            if is_isomorphic(node, module):
+            if node.dims == module.dims and _indec_iso(node, module):
                 return i
         return -1
 
@@ -210,7 +211,7 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
         if m.is_zero():
             return None
         for i, node in enumerate(nodes):
-            if node.dims == m.dims and is_isomorphic(node, m):
+            if node.dims == m.dims and _indec_iso(node, m):
                 return i
         if len(nodes) >= node_cap or m.total_dim > dim_cap:
             reason = reason or ("node_cap" if len(nodes) >= node_cap
@@ -345,6 +346,15 @@ def _connected_full_subquiver(frag, sigma):
     return seen == sset
 
 
+def _convexity_violations(frag, sset, tag):
+    """Path convexity under tag: no path between members of the set passes
+    through a non-member."""
+    reach = frag.reachability()
+    return [(tag, f"path through {frag.labels[z]}") for z in range(len(frag.nodes))
+            if z not in sset and any(reach[x][z] for x in sset)
+            and any(reach[z][y] for y in sset)]
+
+
 def check_slice(a, frag: ARFragment, sigma) -> SliceVerdict:
     """Sincerity, path convexity, translation disjointness, and the
     predecessor condition for irreducible maps into the set."""
@@ -361,13 +371,7 @@ def check_slice(a, frag: ARFragment, sigma) -> SliceVerdict:
     if any(s == 0 for s in support):
         missing = [str(a.vertices[v]) for v, s in enumerate(support) if s == 0]
         violations.append(("S1", f"not sincere, vertices {missing} unsupported"))
-    # convexity: no path between members passes through a non-member
-    reach = frag.reachability()
-    for z in range(len(frag.nodes)):
-        if z in sset:
-            continue
-        if any(reach[x][z] for x in sigma) and any(reach[z][y] for y in sigma):
-            violations.append(("S2", f"path through {frag.labels[z]}"))
+    violations += _convexity_violations(frag, sset, "S2")
     # at most one of M, tau M
     for i, t in frag.tau_links.items():
         if i in sset and t in sset:
@@ -456,13 +460,8 @@ def check_left_section(a, frag: ARFragment, sigma) -> SliceVerdict:
 
     if any(state.get(x) is None and has_cycle(x) for x in sigma):
         violations.append(("s1", "oriented cycle inside the set"))
-    # s3: paths with endpoints in the set stay inside
+    violations += _convexity_violations(frag, sset, "s3")
     reach = frag.reachability()
-    for z in range(len(frag.nodes)):
-        if z in sset:
-            continue
-        if any(reach[x][z] for x in sigma) and any(reach[z][y] for y in sigma):
-            violations.append(("s3", f"path through {frag.labels[z]}"))
     # s2': everything with a path into the set meets it in exactly one
     # inverse-translate step count
     for x in range(len(frag.nodes)):

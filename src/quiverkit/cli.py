@@ -375,15 +375,14 @@ def _dispatch(args):
         if args.slice:
             idx = _resolve_slice(args, a, frag)
         else:
-            anchor = frag.find(m)
-            if anchor < 0:
-                anchor = frag.find(decompose(m)[0][0])
-            found = find_local_slices_through(a, frag, anchor)
+            # the nodes of m's summands; the first anchors the search
+            parts = [frag.find(s) for s, _ in decompose(m)]
+            found = find_local_slices_through(a, frag, parts[0])
             if not found:
                 raise ARQuiverError("no local slice through the module")
             idx = None
             for cand in found:
-                if all(frag.find(s) in cand for s, _ in decompose(m)):
+                if all(i in cand for i in parts):
                     idx = list(cand)
                     break
             if idx is None:

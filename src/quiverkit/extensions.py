@@ -4,8 +4,9 @@
   with one new source vertex whose indecomposable projective has radical M;
 * one-point coextension: the dual construction, the new vertex is a sink;
 * the bimodule of degree-2 self-extensions Ext^2(D A, A) with its exact
-  left and right actions, computed from minimal resolutions of the
-  indecomposable injectives;
+  left and right actions: its blocks Ext^2(I(j), P(i)) are read from
+  `homology.ext_group` over minimal resolutions of the indecomposable
+  injectives, and each action's image is reduced by that block's `classes`;
 * the trivial (relation) extension A x Ext^2(D A, A) for algebras of
   global dimension at most 2;
 * an instance checker for commutation of the two constructions along a
@@ -23,8 +24,8 @@ from quiverkit.algebra import (
     gabriel_quiver,
     opposite_algebra,
 )
-from quiverkit.homology import global_dim, lift_chain_map, min_resolution
-from quiverkit.linalg import Matrix, SpanTracker, solve
+from quiverkit.homology import ext_group, global_dim, lift_chain_map, min_resolution
+from quiverkit.linalg import Matrix, SpanTracker
 from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
     Module,
@@ -239,57 +240,6 @@ def _dual_right_mult_map(a, k, injs):
                      [b.transpose() for b in left_op.blocks])
 
 
-class _Ext2Block:
-    """Cocycle bookkeeping for one block Ext^2(I(j), P(i)).
-
-    Maps out of the second resolution term P2 are taken in generator
-    coordinates.  With a resolution no longer than 2, every such map is a
-    cocycle; representatives are the coordinate unit vectors completing the
-    boundary span, and `reduce` rewrites any cocycle over them through the
-    change-of-basis matrix [boundaries | representatives].
-    """
-
-    def __init__(self, a, res, target):
-        f = a.field
-        self.p2 = res.terms[2] if len(res.terms) > 2 else None
-        self.reps = []
-        self._solve_matrix = None
-        self._n_boundary = 0
-        nh = sum(target.dims[v] for v in self.p2.verts) if self.p2 else 0
-        if nh == 0:
-            return
-        tracker = SpanTracker(nh, f)
-        cols = []
-        # boundaries psi o d2 with psi ranging over Hom(P1, target)
-        for psi in res.terms[1].yoneda_basis(target):
-            coords = self.p2.coordinates(psi.compose(res.diffs[1]))
-            if tracker.add(coords):
-                cols.append(coords)
-        self._n_boundary = len(cols)
-        for pos in range(nh):
-            unit = [f.one() if i == pos else f.zero() for i in range(nh)]
-            if tracker.add(unit):
-                cols.append(unit)
-                self.reps.append(self.p2.map_with_coordinates(target, unit))
-        self._solve_matrix = Matrix.from_columns(f, cols, nh)
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def reduce(self, mmap):
-        """Coefficients over this block's representatives of a cocycle map."""
-        if self._solve_matrix is None:
-            return []
-        coords = self.p2.coordinates(mmap)
-        if coords is None:
-            raise ExtensionError("map is not in the hom space of this block")
-        sol = solve(self._solve_matrix, coords)
-        if sol is None:
-            raise ExtensionError("cocycle reduction failed")
-        return sol[self._n_boundary:]
-
-
 def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     """Ext^2(D C, C) with its bimodule structure (global dimension <= 2).
 
@@ -314,9 +264,8 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     basis = []  # (i, j, position within block)
     for j in range(nverts):
         for i in range(nverts):
-            blk = _Ext2Block(c, resolutions[j], projs[i])
-            blocks[(i, j)] = blk
-            for t in range(blk.dim):
+            blocks[(i, j)] = ext_group(injs[j], projs[i], 2, resolutions[j])
+            for t in range(len(blocks[(i, j)].reps)):
                 basis.append((i, j, t))
 
     dimE = len(basis)
@@ -336,7 +285,7 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
                 if i != t:
                     continue
                 image = lam.compose(blocks[(i, j)].reps[u])  # P2(I(j)) -> P(s)
-                coeffs = blocks[(s, j)].reduce(image)
+                coeffs = blocks[(s, j)].classes(image)
                 for u2, val in enumerate(coeffs):
                     if val != f.zero():
                         lm.data[pos_of[(s, j, u2)]][pos] = val
@@ -355,7 +304,7 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
                 if j != s or lam2 is None:
                     continue
                 image = blocks[(i, j)].reps[u].compose(lam2)  # P2(I(t)) -> P(i)
-                coeffs = blocks[(i, t)].reduce(image)
+                coeffs = blocks[(i, t)].classes(image)
                 for u2, val in enumerate(coeffs):
                     if val != f.zero():
                         rm.data[pos_of[(i, t, u2)]][pos] = val

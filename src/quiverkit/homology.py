@@ -7,6 +7,11 @@ arguments are converted through the standard duality D into projective
 computations over the opposite algebra.  Resolutions are cached per
 (algebra, module) key; a cache hit is indistinguishable from recomputing.
 
+Ext in each degree k >= 1 is one `ExtGroup`: the term P_k, cocycle
+representatives of a basis, and `classes`, the coordinates of any
+cocycle's class over them.  `ext_dim`, the almost split class and the
+Ext^2 bimodule of `extensions` all read their classes from it.
+
 A map out of a resolution term, a sum of projectives e_v A, is handled by
 its generator images: Hom(e_v A, N) = N e_v, so Ext cocycles, coboundaries,
 chain lifts and the transpose are all read from or built out of those
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, matmul, solve
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve
 from quiverkit.repmod import (
     Module,
     ModuleMap,
@@ -135,42 +140,71 @@ def _precomposed_coordinates(maps, d, psum):
     return cols
 
 
-def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
-    """dim Ext^k(M, N) and cocycle representatives P_k -> N.
+@dataclass
+class ExtGroup:
+    """Ext^k(M, N), k >= 1, over a projective resolution of M.
 
-    For k = 0 the representatives are a basis of Hom(M, N) itself.  For
-    k >= 1, Hom(P_k, N) is taken in generator coordinates (`yoneda_basis`):
-    cocycles are the kernel of precomposition with d_{k+1}, and coboundaries
-    the precompositions of Hom(P_{k-1}, N) with d_k.
+    Hom(P_k, N) is taken in generator coordinates (`yoneda_basis`): cocycles
+    are the kernel of precomposition with d_{k+1}, and coboundaries the
+    precompositions of Hom(P_{k-1}, N) with d_k.  term is P_k (None past the
+    resolution's end) and reps are the cocycles of the kernel basis that
+    complete the coboundaries: their classes are a basis of Ext^k.
     """
+
+    term: object
+    target: Module
+    reps: list
+    _basis: Matrix  # columns: independent coboundaries, then reps
+    _n_boundary: int
+
+    def classes(self, cocycle: ModuleMap):
+        """The coordinates over reps of the class of a cocycle P_k -> N."""
+        coords = None
+        if (self.term is not None and cocycle.source.dims == self.term.module.dims
+                and cocycle.target.dims == self.target.dims):
+            coords = self.term.coordinates(cocycle)
+        sol = None if coords is None else solve(self._basis, coords)
+        if sol is None:
+            raise HomologyError("not a cocycle out of the resolution term")
+        return sol[self._n_boundary:]
+
+
+def ext_group(m: Module, n: Module, k: int, resolution: Resolution = None) -> ExtGroup:
+    """Ext^k(M, N) for k >= 1, over resolution (M's minimal one by default)."""
+    if k < 1:
+        raise HomologyError("ext_group needs a degree of at least 1")
+    if m.algebra is not n.algebra:
+        raise HomologyError("modules over different algebras")
+    f = m.algebra.field
+    res = resolution or min_resolution(m, k + 1)
+    pk = res.terms[k] if k < len(res.terms) else None
+    nh = sum(n.dims[v] for v in pk.verts) if pk is not None else 0  # dim Hom(P_k, N)
+    if not nh:
+        return ExtGroup(pk, n, [], Matrix.zeros(f, 0, 0), 0)
+    if k + 1 < len(res.terms):
+        pk1 = res.terms[k + 1]
+        cols = _precomposed_coordinates(pk.yoneda_basis(n), res.diffs[k], pk1)
+        rows = sum(n.dims[v] for v in pk1.verts)
+    else:
+        cols, rows = [[] for _ in range(nh)], 0
+    cocycles = kernel_basis(Matrix.from_columns(f, cols, rows))
+    tracker = SpanTracker(nh, f)
+    boundaries = [v for v in _precomposed_coordinates(
+        res.terms[k - 1].yoneda_basis(n), res.diffs[k - 1], pk) if tracker.add(v)]
+    reps = [v for v in cocycles if tracker.add(v)]
+    return ExtGroup(pk, n, [pk.map_with_coordinates(n, v) for v in reps],
+                    Matrix.from_columns(f, boundaries + reps, nh), len(boundaries))
+
+
+def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
+    """dim Ext^k(M, N) and cocycle representatives P_k -> N; for k = 0 the
+    representatives are a basis of Hom(M, N) itself."""
     if k < 0:
         raise HomologyError("negative degree")
     if m.algebra is not n.algebra:
         raise HomologyError("modules over different algebras")
-    if k == 0:
-        basis = hom_basis(m, n)
-        return len(basis), basis
-    res = resolution or min_resolution(m, k + 1)
-    if k >= len(res.terms):
-        return 0, []
-    f = m.algebra.field
-    pk = res.terms[k]
-    hk = pk.yoneda_basis(n)
-    if not hk:
-        return 0, []
-    if k + 1 < len(res.terms):
-        pk1 = res.terms[k + 1]
-        cols = _precomposed_coordinates(hk, res.diffs[k], pk1)
-        rows = sum(n.dims[v] for v in pk1.verts)
-    else:
-        cols, rows = [[] for _ in hk], 0
-    cocycles = kernel_basis(Matrix.from_columns(f, cols, rows))
-    tracker = SpanTracker(len(hk), f)
-    for v in _precomposed_coordinates(res.terms[k - 1].yoneda_basis(n),
-                                      res.diffs[k - 1], pk):
-        tracker.add(v)
-    reps = [v for v in cocycles if tracker.add(v)]
-    return len(reps), [pk.map_with_coordinates(n, v) for v in reps]
+    reps = hom_basis(m, n) if k == 0 else ext_group(m, n, k, resolution).reps
+    return len(reps), reps
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +275,15 @@ def almost_split_middle(y: Module, ty: Module, res: Resolution) -> Module:
     """
     a = y.algebra
     f = a.field
-    _, reps = ext_dim(y, ty, 1, resolution=res.extend(2))
+    ext = ext_group(y, ty, 1, resolution=res.extend(2))
+    reps = ext.reps
     xi = reps[0]
     p0, p1 = res.terms[0], res.terms[1]
     ends = hom_basis(ty, ty) if len(reps) > 1 else []
     if len(ends) > 1:
-        n = sum(ty.dims[v] for v in p1.verts)
-        bound = _precomposed_coordinates(p0.yoneda_basis(ty), res.diffs[0], p1)
-        # functionals on Hom(P1, tau Y) that vanish on the coboundaries
-        ann = Matrix(f, kernel_basis(Matrix(f, bound, len(bound), n)), cols=n)
-        rows = [row for rho in end_radical_basis(ends) for row in matmul(
-            ann, Matrix.from_columns(f, [p1.coordinates(rho.compose(r)) for r in reps], n)).data]
+        # the rows of rho acting on the classes, for rho in rad End(tau Y)
+        rows = [row for rho in end_radical_basis(ends) for row in Matrix.from_columns(
+            f, [ext.classes(rho.compose(r)) for r in reps], len(reps)).data]
         socle = kernel_basis(Matrix(f, rows, len(rows), len(reps)))
         if not socle:
             raise HomologyError(

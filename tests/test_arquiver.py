@@ -11,10 +11,12 @@ from quiverkit.arquiver import (
     knit,
     tilted_quotient,
 )
-from quiverkit.homology import HomologyError, tau
-from quiverkit.linalg import SpanTracker
+from quiverkit.homology import HomologyError, ext_group, tau
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import (
+    ModuleMap,
+    combine_maps,
     decompose,
     direct_sum,
     end_radical_basis,
@@ -493,6 +495,26 @@ def test_almost_split_class_needs_the_radical():
     frag = knit(a, 10)
     assert frag.complete and len(frag.nodes) == 4
     assert frag.arrows == _irreducible_arrows(a, frag.nodes)
+    # the socle of Ext^1(Y, tau Y) over End(tau Y) = k[x]/(x^m), read through
+    # `classes`: the classes that multiplication by x kills form a line, and
+    # every endomorphism of the trace-form radical kills them too
+    f = a.field
+    planes = 0
+    for i, y in enumerate(frag.nodes):
+        if i in frag.projective_at:
+            continue
+        ty = frag.nodes[frag.tau_links[i]]
+        g = ext_group(y, ty, 1)
+        d = len(g.reps)
+        x_act = ModuleMap(ty, ty, [ty.mats["x"]])
+        by_x = [g.classes(x_act.compose(r)) for r in g.reps]
+        socle = kernel_basis(Matrix.from_columns(f, by_x, d))
+        assert len(socle) == 1
+        planes += d > 1
+        xi = combine_maps(socle[0], g.reps, g.term.module, ty)
+        for rho in end_radical_basis(hom_basis(ty, ty)):
+            assert g.classes(rho.compose(xi)) == [f.zero()] * d
+    assert planes
     # over GF(2) the trace form cannot see that radical: a domain error,
     # never a guessed sequence
     a2 = build_algebra(parse_presentation("field: gf(2)\n" + text))

@@ -1,6 +1,13 @@
+import pytest
+
+from quiverkit.algebra import build_algebra
+from quiverkit.arquiver import knit
+from quiverkit.cli import _load_presentation, fixture_path
 from quiverkit.homology import (
+    HomologyError,
     Resolution,
     ext_dim,
+    ext_group,
     global_dim,
     inj_dim,
     lift_chain_map,
@@ -11,6 +18,7 @@ from quiverkit.homology import (
     transpose,
 )
 from quiverkit.repmod import (
+    combine_maps,
     direct_sum,
     dual_module,
     hom_basis,
@@ -141,6 +149,42 @@ def test_ext_agrees_with_padded_resolution(alg_c):
             want, _ = ext_dim(m, target, k)
             got, _ = ext_dim(m, target, k, resolution=padded)
             assert got == want
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)"])
+@pytest.mark.parametrize("name", ["d4_tilted.q", "d4_tilted_ext_s2.q"])
+def test_ext_classes_are_coordinates_over_the_representatives(name, field):
+    a = build_algebra(_load_presentation(fixture_path(name), field))
+    f = a.field
+    nodes = knit(a, 40).nodes
+    seen_coboundary = seen_non_cocycle = False
+    for m in nodes:
+        for k in (1, 2):
+            res = min_resolution(m, k + 1)
+            for n in nodes:
+                g = ext_group(m, n, k)
+                if g.term is None:
+                    continue
+                units = [[f.one() if i == t else f.zero() for i in range(len(g.reps))]
+                         for t in range(len(g.reps))]
+                # a generic coboundary psi o d_k
+                psis = res.terms[k - 1].yoneda_basis(n)
+                bnd = combine_maps([f.from_int(c + 2) for c in range(len(psis))],
+                                   [psi.compose(res.diffs[k - 1]) for psi in psis],
+                                   g.term.module, n)
+                seen_coboundary |= any(x != f.zero() for x in bnd.flatten())
+                for t, r in enumerate(g.reps):
+                    assert g.classes(r) == units[t]
+                    moved = combine_maps([f.one(), f.one()], [r, bnd], g.term.module, n)
+                    assert g.classes(moved) == units[t]
+                # maps out of P_k that do not vanish on the image of d_{k+1}
+                if k + 1 < len(res.terms):
+                    for h in g.term.yoneda_basis(n):
+                        if any(x != f.zero() for x in h.compose(res.diffs[k]).flatten()):
+                            seen_non_cocycle = True
+                            with pytest.raises(HomologyError):
+                                g.classes(h)
+    assert seen_coboundary and seen_non_cocycle
 
 
 def test_transpose_of_projective_vanishes(alg_b):
