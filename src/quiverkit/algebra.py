@@ -67,7 +67,6 @@ class BasedAlgebra:
         self._opposite = None
         self._resolutions = {}
         self._projectives = {}
-        self._simple_keys = None
         if len(self.idempotents) != len(self.vertices):
             raise BuildError("one idempotent per vertex required")
         if sorted(set(self.labels)) != sorted(self.labels):
@@ -149,7 +148,7 @@ class BasedAlgebra:
 
 def _compute_expressions(a: BasedAlgebra):
     f = a.field
-    tracker = SpanTracker(a.dim, f)
+    tracker = SpanTracker(f)
     kept = []  # ((vertex_index, arrow index tuple), vector)
     for vi, bidx in enumerate(a.idempotents):
         v = a.unit(bidx)
@@ -249,7 +248,7 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
             )
         extend_paths(N)
         npaths = len(path_list)
-        tracker = SpanTracker(npaths, f)
+        tracker = SpanTracker(f)
         z = f.zero()
         # all products x * g * y fully supported in length <= N
         for gi, g in enumerate(gens):
@@ -412,7 +411,7 @@ def radical_square_vectors(a: BasedAlgebra):
 def _derive_arrow_reps(a: BasedAlgebra, labels_taken=None):
     """Pick radical basis elements forming a basis of rad/rad^2, graded."""
     f = a.field
-    tracker = SpanTracker(a.dim, f)
+    tracker = SpanTracker(f)
     for v in radical_square_vectors(a):
         tracker.add(v)
     reps = []
@@ -473,14 +472,14 @@ class Ideal:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        t = SpanTracker(self.parent.dim, self.parent.field)
+        t = SpanTracker(self.parent.field)
         for v in self.basis:
             t.add(v)
         return t.contains(vec)
 
     def is_two_sided(self) -> bool:
         a = self.parent
-        t = SpanTracker(a.dim, a.field)
+        t = SpanTracker(a.field)
         for v in self.basis:
             t.add(v)
         for v in self.basis:
@@ -495,7 +494,7 @@ class Ideal:
 def two_sided_ideal(a: BasedAlgebra, generators) -> Ideal:
     """Saturate the span of the generators under multiplication by basis
     elements on both sides."""
-    t = SpanTracker(a.dim, a.field)
+    t = SpanTracker(a.field)
     work = []
     for g in generators:
         if t.add(g):
@@ -644,7 +643,7 @@ def radical_nilpotency_degree(a: BasedAlgebra, cap=None):
     current = [a.unit(k) for k in a.radical]
     power = 1
     while current and power <= cap:
-        t = SpanTracker(a.dim, f)
+        t = SpanTracker(f)
         for v in current:
             for k in a.radical:
                 t.add(a.mul_vec(v, a.unit(k)))
@@ -664,7 +663,7 @@ def check_gabriel_counts(a: BasedAlgebra) -> bool:
     n = len(a.vertices)
     for i in range(n):
         for j in range(n):
-            t = SpanTracker(a.dim, f)
+            t = SpanTracker(f)
             for v in sq:
                 t.add(v)
             base = t.dim

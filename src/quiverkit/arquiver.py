@@ -527,7 +527,7 @@ def tilted_quotient(a: BasedAlgebra, sigma_modules) -> TiltedQuotient:
     ann_vectors = []
     if rows:
         ann_vectors = kernel_basis(Matrix(f, rows, len(rows), a.dim))
-    tracker = SpanTracker(a.dim, f)
+    tracker = SpanTracker(f)
     for v in ann_vectors:
         tracker.add(v)
     ideal = Ideal(a, [list(r) for r in tracker.rows])

@@ -156,10 +156,6 @@ def _algebra_text(a):
     return "\n".join(lines)
 
 
-def _fragment_summary(frag):
-    return frag.to_json()
-
-
 def _fragment_text(frag):
     lines = [f"{len(frag.nodes)} nodes, complete={frag.complete}"
              + (f" ({frag.incomplete_reason})" if frag.incomplete_reason else "")]
@@ -338,7 +334,7 @@ def _dispatch(args):
         return 0
     if verb == "knit":
         frag = knit(a, node_cap=args.cap)
-        _emit(args, _fragment_summary(frag), _fragment_text(frag), frag.to_dot())
+        _emit(args, frag.to_json(), _fragment_text(frag), frag.to_dot())
         return 0
     if verb in ("check-slice", "check-local-slice", "check-left-section"):
         frag = knit(a, node_cap=args.cap)

@@ -30,13 +30,12 @@ from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
     Module,
     ModuleMap,
-    decompose,
     direct_sum,
     dual_module,
     injective,
-    is_isomorphic,
     projective,
     projective_basis_indices,
+    projective_cover,
     projective_sum,
     psum_map,
     right_multiples,
@@ -184,7 +183,7 @@ class Bimodule:
         extension."""
         a = self.algebra
         f = a.field
-        tr = SpanTracker(self.dim, f)
+        tr = SpanTracker(f)
         for r in a.radical:
             for mat in (self.left[r], self.right[r]):
                 for c in range(mat.cols):
@@ -362,7 +361,7 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
 
     out = BasedAlgebra(f, c.vertices, labels, source, target, idempotents,
                        radical, mult, reps)
-    out._ext2 = ext2  # kept for tests and the projective-lift check
+    out._ext2 = ext2  # kept for tests
     return out
 
 
@@ -409,20 +408,12 @@ def lift_projective(c: BasedAlgebra, p: Module, r: BasedAlgebra) -> Module:
     multiplicities as the projective p over c."""
     if p.algebra is not c:
         raise ExtensionError("module is not over the given algebra")
-    mult_per_vertex = [0] * len(c.vertices)
-    for summand, mult in decompose(p):
-        match = None
-        for vi, v in enumerate(c.vertices):
-            if is_isomorphic(summand, projective(c, v)):
-                match = vi
-                break
-        if match is None:
-            raise ExtensionError("module is not projective")
-        mult_per_vertex[match] += mult
-    mods = []
-    for vi, v in enumerate(r.vertices):
-        for _ in range(mult_per_vertex[vi]):
-            mods.append(projective(r, v))
+    # an epi onto p of p's dimension is an iso: p is projective exactly then
+    cover, _ = projective_cover(p)
+    if cover.module.dims != p.dims:
+        raise ExtensionError("module is not projective")
+    mods = [projective(r, v) for vi, v in enumerate(r.vertices)
+            for _ in range(cover.verts.count(vi))]
     return direct_sum(r, mods, label=f"lift {p.label}")
 
 

@@ -13,16 +13,19 @@ cocycle's class over them.  `ext_dim`, the almost split class and the
 Ext^2 bimodule of `extensions` all read their classes from it.
 
 A map out of a resolution term, a sum of projectives e_v A, is handled by
-its generator images: Hom(e_v A, N) = N e_v, so Ext cocycles, coboundaries,
-chain lifts and the transpose are all read from or built out of those
-images (`ProjectiveSum.generator_images`, `ProjectiveSum.yoneda_basis`,
-`psum_map`), with no Hom system to solve.  `hom_basis` serves Ext^0 and
-End(tau Y) only.
+its generator images: Hom(e_v A, N) = N e_v, so chain lifts and the
+transpose are read from or built out of those images
+(`ProjectiveSum.generator_images`, `ProjectiveSum.parts`, `psum_map`), with
+no Hom system to solve.  Precomposition with a differential is linear in
+them: `hom_matrix` is Hom(d, N) in generator coordinates, and Ext cocycles
+and coboundaries are its kernel and its columns.  `hom_basis` serves Ext^0
+and End(tau Y) only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from quiverkit.algebra import BasedAlgebra
 from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve
@@ -39,6 +42,7 @@ from quiverkit.repmod import (
     projective_cover,
     projective_sum,
     psum_map,
+    right_multiples,
     simple,
     zero_module,
 )
@@ -129,24 +133,41 @@ def global_dim(a: BasedAlgebra, cap: int = 10):
 # Ext
 
 
-def _precomposed_coordinates(maps, d, psum):
-    """The coordinates over psum, the source of d, of phi o d for each phi."""
-    cols = []
-    for phi in maps:
-        coords = psum.coordinates(phi.compose(d))
-        if coords is None:
-            raise HomologyError("composition left the hom space")
-        cols.append(coords)
-    return cols
+def hom_matrix(d: ModuleMap, src, tgt, n: Module) -> Matrix:
+    """Hom(d, N) in generator coordinates, for d: src -> tgt between
+    projective sums: the matrix taking the generator images of psi: tgt -> N
+    to those of psi o d.  Its (beta, alpha) block is sum_k c_k R_k, where
+    the c_k are `tgt.parts`[beta][alpha] and R_k is the right action of the
+    k-th basis element from v_alpha to w_beta, N at v_alpha -> N at w_beta,
+    read from `right_multiples` of each unit vector of N at v_alpha."""
+    alg = n.algebra
+    f = alg.field
+    z, one = f.zero(), f.one()
+    right = {v: [right_multiples(n, v, [one if j == i else z for j in range(n.dims[v])])
+                 for i in range(n.dims[v])] for v in set(tgt.verts)}
+    row_at = list(accumulate((n.dims[w] for w in src.verts), initial=0))
+    col_at = list(accumulate((n.dims[v] for v in tgt.verts), initial=0))
+    data = [[z] * col_at[-1] for _ in range(row_at[-1])]
+    for beta, (w, parts) in enumerate(zip(src.verts, tgt.parts(d, src))):
+        rows = data[row_at[beta]:row_at[beta + 1]]
+        for alpha, (v, coeffs) in enumerate(zip(tgt.verts, parts)):
+            for col, images in enumerate(right[v], col_at[alpha]):
+                ks = [k for k in images if alg.target[k] == w]
+                for k, c in zip(ks, coeffs):
+                    if c:
+                        for row, x in zip(rows, images[k]):
+                            if x:
+                                row[col] = f.add(row[col], f.mul(c, x))
+    return Matrix.wrap(f, data, row_at[-1], col_at[-1])
 
 
 @dataclass
 class ExtGroup:
     """Ext^k(M, N), k >= 1, over a projective resolution of M.
 
-    Hom(P_k, N) is taken in generator coordinates (`yoneda_basis`): cocycles
-    are the kernel of precomposition with d_{k+1}, and coboundaries the
-    precompositions of Hom(P_{k-1}, N) with d_k.  term is P_k (None past the
+    Hom(P_k, N) is taken in generator coordinates: cocycles are the kernel
+    of `hom_matrix`(d_{k+1}), precomposition with d_{k+1}, and coboundaries
+    the columns of `hom_matrix`(d_k).  term is P_k (None past the
     resolution's end) and reps are the cocycles of the kernel basis that
     complete the coboundaries: their classes are a basis of Ext^k.
     """
@@ -182,15 +203,12 @@ def ext_group(m: Module, n: Module, k: int, resolution: Resolution = None) -> Ex
     if not nh:
         return ExtGroup(pk, n, [], Matrix.zeros(f, 0, 0), 0)
     if k + 1 < len(res.terms):
-        pk1 = res.terms[k + 1]
-        cols = _precomposed_coordinates(pk.yoneda_basis(n), res.diffs[k], pk1)
-        rows = sum(n.dims[v] for v in pk1.verts)
+        cocycles = kernel_basis(hom_matrix(res.diffs[k], res.terms[k + 1], pk, n))
     else:
-        cols, rows = [[] for _ in range(nh)], 0
-    cocycles = kernel_basis(Matrix.from_columns(f, cols, rows))
-    tracker = SpanTracker(nh, f)
-    boundaries = [v for v in _precomposed_coordinates(
-        res.terms[k - 1].yoneda_basis(n), res.diffs[k - 1], pk) if tracker.add(v)]
+        cocycles = kernel_basis(Matrix.zeros(f, 0, nh))
+    tracker = SpanTracker(f)
+    bnd = hom_matrix(res.diffs[k - 1], pk, res.terms[k - 1], n)
+    boundaries = [v for v in map(bnd.column, range(bnd.cols)) if tracker.add(v)]
     reps = [v for v in cocycles if tracker.add(v)]
     return ExtGroup(pk, n, [pk.map_with_coordinates(n, v) for v in reps],
                     Matrix.from_columns(f, boundaries + reps, nh), len(boundaries))
@@ -229,15 +247,9 @@ def transpose(m: Module, res: Resolution = None) -> Module:
     # of q0 to these parts, side by side.
     q0 = projective_sum(op, p0.verts)
     q1 = projective_sum(op, p1.verts)
-    images = p1.generator_images(d1)
-    offsets = {vb: p0.summand_offsets(vb) for vb in set(p1.verts)}
-    gen_images = []
-    for alpha in range(len(p0.verts)):
-        img = []
-        for beta, vb in enumerate(p1.verts):
-            off, d = offsets[vb][alpha]
-            img.extend(images[beta][off:off + d])
-        gen_images.append(img)
+    parts = p0.parts(d1, p1)
+    gen_images = [[x for part in parts for x in part[alpha]]
+                  for alpha in range(len(p0.verts))]
     g = psum_map(q0, q1.module, gen_images)
     coker, _ = cokernel_of(g, label=f"Tr {m.label}")
     return coker

@@ -5,8 +5,7 @@ in [0, p) over GF(p).  All results are exact; there are no tolerances
 anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
-elimination serves `rref`, `rank`, `kernel_basis`, `solve` and
-`SpanTracker`.  Its single row step, row -= c * pivot_row, visits only the
+elimination serves `rref`, `kernel_basis`, `solve` and `SpanTracker`.  Its single row step, row -= c * pivot_row, visits only the
 nonzero columns of the pivot row, and uses nothing of the field but `inv`,
 `sub` and `mul`.  It tests entries for zero by truth value, so GF(p)
 entries must stay reduced into [0, p): `from_int` and `scalar_from_str`
@@ -337,10 +336,6 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), len(pivots), pivots)
 
 
-def rank(m: Matrix) -> int:
-    return rref(m).rank
-
-
 def kernel_basis(m: Matrix) -> list:
     """Column vectors spanning the null space of m (cols - rank of them)."""
     f = m.field
@@ -391,8 +386,7 @@ class SpanTracker:
     enlarged the span.
     """
 
-    def __init__(self, ncols, field):
-        self.ncols = ncols
+    def __init__(self, field):
         self.field = field
         self.rows = []  # kept in echelon form, pivot map: col -> row index
         self.pivot_of_col = {}

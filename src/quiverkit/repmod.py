@@ -575,8 +575,8 @@ class ProjectiveSum:
     verts lists the defining vertex index of each summand; the module's
     vertex space at w concatenates the summands' spaces in order.  A map out
     of the sum is held by its generator images, the coordinates that
-    `generator_images`, `coordinates`, `map_with_coordinates` and
-    `yoneda_basis` read and build.
+    `generator_images`, `coordinates` and `map_with_coordinates` read and
+    build; `parts` splits the images of a map into the sum by its summands.
     """
 
     algebra: BasedAlgebra
@@ -613,6 +613,17 @@ class ProjectiveSum:
             out.append(fmap.blocks[v].column(offsets[c][0] + pos))
         return out
 
+    def parts(self, fmap, src):
+        """parts[beta][alpha]: the alpha-th summand part of the beta-th
+        generator image of fmap, a map from the projective sum src into this
+        one.  It lies in e_{v_alpha} A e_{w_beta}, with v_alpha this sum's
+        alpha-th vertex and w_beta src's beta-th, and holds the coefficients
+        of that space's basis elements in basis order.
+        """
+        offsets = {w: self.summand_offsets(w) for w in set(src.verts)}
+        return [[img[off:off + d] for off, d in offsets[w]]
+                for w, img in zip(src.verts, src.generator_images(fmap))]
+
     def coordinates(self, fmap):
         """fmap's concatenated generator images, or None when fmap is not the
         module map that those images determine."""
@@ -628,15 +639,6 @@ class ProjectiveSum:
             images.append(coords[pos:pos + target.dims[v]])
             pos += target.dims[v]
         return psum_map(self, target, images)
-
-    def yoneda_basis(self, target):
-        """The basis of Hom(P, target) dual to the generator coordinates: each
-        map sends one generator to a unit vector, the others to zero."""
-        f = self.algebra.field
-        n = sum(target.dims[v] for v in self.verts)
-        return [self.map_with_coordinates(target, [f.one() if i == t else f.zero()
-                                                   for i in range(n)])
-                for t in range(n)]
 
 
 def projective_sum(a: BasedAlgebra, verts, label=None) -> ProjectiveSum:
@@ -715,7 +717,7 @@ def top_generator_slots(m: Module):
     for v, d in enumerate(m.dims):
         if d == 0:
             continue
-        tr = SpanTracker(d, f)
+        tr = SpanTracker(f)
         if rad[v]:
             # one rref, then only its echelon rows enter the tracker: this
             # runs for every cover in a knit

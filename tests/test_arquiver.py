@@ -395,8 +395,7 @@ def _irreducible_arrows(a, nodes):
             base = rad_bases[(i, j)]
             if not base:
                 continue
-            size = sum(nodes[j].dims[v] * nodes[i].dims[v] for v in range(len(a.vertices)))
-            tracker = SpanTracker(size, f)
+            tracker = SpanTracker(f)
             for z in range(n):
                 for g in rad_bases[(z, j)]:
                     for h in rad_bases[(i, z)]:

@@ -148,7 +148,7 @@ def test_solve_consistent_with_sympy(field, data):
 def test_span_tracker_dim_is_rank_in_any_order(field, data):
     rows = data.draw(matrices(field))
     order = data.draw(st.permutations(range(len(rows))))
-    tracker = SpanTracker(len(rows[0]), field)
+    tracker = SpanTracker(field)
     for i in order:
         tracker.add(rows[i])
     assert tracker.dim == _sympy_rank(field, rows, len(rows[0]))

@@ -1,5 +1,7 @@
 """Every function, class and method of the package has a reference somewhere
-in the repository's code: a helper without callers fails this test."""
+in the repository's code, and every attribute the package stores on self is
+read somewhere: a helper without callers, or state that nothing reads,
+fails these tests."""
 
 import ast
 import re
@@ -27,12 +29,20 @@ def _docstring_ids(tree):
     return out
 
 
-def _references(tree):
-    """Names used as a Name, an attribute, an import, or a part of a string
-    literal other than a docstring that is a whole dotted name (traced names
-    such as "Module.basis_action" are strings; words of prose are not
-    references)."""
+def _traced_names(tree):
+    """The parts of every string literal other than a docstring that is a
+    whole dotted name (traced names such as "Module.basis_action" are
+    strings; words of prose are not references)."""
     docs = _docstring_ids(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docs and re.fullmatch(r"[\w.]+", node.value)):
+            yield from node.value.split(".")
+
+
+def _references(tree):
+    """Names used as a Name, an attribute, an import, or a traced name."""
+    yield from _traced_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -40,9 +50,6 @@ def _references(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield from node.name.split(".")
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docs and re.fullmatch(r"[\w.]+", node.value)):
-            yield from node.value.split(".")
 
 
 def _definitions(tree):
@@ -67,3 +74,30 @@ def test_every_definition_is_referenced():
               for path, tree in trees if path.is_relative_to(PACKAGE)
               for name, line in _definitions(tree) if name not in referenced]
     assert unused == []
+
+
+def _stored_attributes(tree):
+    """Attributes assigned on self."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr, node.lineno
+
+
+def _reads(tree):
+    """Attribute names read, and traced names."""
+    yield from _traced_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_stored_attribute_is_read():
+    trees = list(_trees())
+    read = set()
+    for _, tree in trees:
+        read.update(_reads(tree))
+    unread = [f"{path.relative_to(ROOT)}:{line} self.{name}"
+              for path, tree in trees if path.is_relative_to(PACKAGE)
+              for name, line in _stored_attributes(tree) if name not in read]
+    assert unread == []

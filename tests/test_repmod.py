@@ -96,7 +96,7 @@ def test_cover_kernel_superfluous(alg_b):
     f = alg_b.field
     # every kernel vector lies inside the radical of the cover
     for v in range(len(psum.module.dims)):
-        span = SpanTracker(psum.module.dims[v], f)
+        span = SpanTracker(f)
         for vec in rad[v]:
             span.add(vec)
         for col in range(incl.blocks[v].cols):
@@ -382,7 +382,7 @@ def _reference_annihilator(a, modules):
         for i in range(m.total_dim):
             for j in range(m.total_dim):
                 rows.append([actions[k].data[i][j] for k in range(a.dim)])
-    tracker = SpanTracker(a.dim, a.field)
+    tracker = SpanTracker(a.field)
     for vec in kernel_basis(Matrix(a.field, rows, len(rows), a.dim)):
         tracker.add(vec)
     return tracker.rows

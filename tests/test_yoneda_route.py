@@ -1,6 +1,7 @@
 """Maps out of projective sums in generator coordinates, checked against the
-generic commutation-system route `hom_basis` on the AR-quiver nodes of the
-finite fixtures, over the rationals and a large prime."""
+generic commutation-system route `hom_basis` and against composition of
+module maps on the AR-quiver nodes of the finite fixtures, over the
+rationals and a large prime."""
 
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ import pytest
 from quiverkit.algebra import build_algebra
 from quiverkit.arquiver import knit
 from quiverkit.cli import _load_presentation, fixture_path
-from quiverkit.homology import ext_dim, lift_chain_map, min_resolution
+from quiverkit.homology import ext_dim, hom_matrix, lift_chain_map, min_resolution
 from quiverkit.linalg import SpanTracker
 from quiverkit.repmod import hom_basis
 
@@ -24,6 +25,15 @@ def _nodes(name, field):
     frag = knit(a, 40)
     assert frag.complete
     return frag.nodes
+
+
+def _unit_maps(p, n):
+    """The maps out of the projective sum p into n that send one generator
+    coordinate to 1 and every other to 0."""
+    f = n.algebra.field
+    size = sum(n.dims[v] for v in p.verts)
+    return [p.map_with_coordinates(n, [f.one() if i == t else f.zero() for i in range(size)])
+            for t in range(size)]
 
 
 def _hom_dim(m, n):
@@ -83,13 +93,27 @@ def test_yoneda_basis_spans_hom(name, field):
         for p in min_resolution(m, 3).terms:
             for n in nodes:
                 generic = hom_basis(p.module, n)
-                yoneda = p.yoneda_basis(n)
+                yoneda = _unit_maps(p, n)
                 assert len(yoneda) == len(generic)
-                span = SpanTracker(sum(x * y for x, y in zip(p.module.dims, n.dims)),
-                                   n.algebra.field)
+                span = SpanTracker(n.algebra.field)
                 for h in generic:
                     span.add(h.flatten())
                 for t, y in enumerate(yoneda):
                     assert span.contains(y.flatten())
                     coords = p.coordinates(y)
                     assert coords == [int(i == t) for i in range(len(yoneda))]
+
+
+@pytest.mark.parametrize("name,field", CASES)
+def test_hom_matrix_is_precomposition_with_the_differential(name, field):
+    nodes = _nodes(name, field)
+    for m in nodes:
+        res = min_resolution(m, 3)
+        for k, d in enumerate(res.diffs):
+            src, tgt = res.terms[k + 1], res.terms[k]
+            for n in nodes:
+                h = hom_matrix(d, src, tgt, n)
+                assert (h.rows, h.cols) == (sum(n.dims[v] for v in src.verts),
+                                            sum(n.dims[v] for v in tgt.verts))
+                for t, unit in enumerate(_unit_maps(tgt, n)):
+                    assert h.column(t) == src.coordinates(unit.compose(d))
