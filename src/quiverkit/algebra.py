@@ -47,7 +47,7 @@ class BasedAlgebra:
     """Finite-dimensional basic algebra given by basis and structure constants."""
 
     def __init__(self, field, vertices, labels, source, target, idempotents,
-                 radical, mult, arrow_reps, origin=None, parent=None,
+                 radical, mult, arrow_reps, parent=None,
                  parent_basis=None, ideal=None):
         self.field = field
         self.vertices = tuple(vertices)
@@ -58,7 +58,6 @@ class BasedAlgebra:
         self.radical = list(radical)
         self.mult = mult  # mult[i][j] = list of coefficients over the basis
         self.arrow_reps = list(arrow_reps)
-        self.origin = origin
         self.parent = parent
         self.parent_basis = parent_basis
         self.ideal = ideal  # the ideal of the parent that this is the quotient by
@@ -186,7 +185,10 @@ def _compute_expressions(a: BasedAlgebra):
 # building an algebra from a presentation
 
 
-def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> BasedAlgebra:
+MAX_PATHS = 20000  # paths enumerated before a presentation is rejected
+
+
+def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
     """Path algebra of the presentation quiver modulo its relations.
 
     Paths are enumerated by increasing length while the two-sided span of
@@ -233,9 +235,9 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
             for item in new:
                 path_index[(item[0], item[2])] = len(path_list)
                 path_list.append(item)
-            if len(path_list) > max_paths:
+            if len(path_list) > MAX_PATHS:
                 raise BuildError(
-                    f"path count exceeded {max_paths}; presentation is not finite dimensional"
+                    f"path count exceeded {MAX_PATHS}; presentation is not finite dimensional"
                 )
 
     L_stop = None
@@ -339,7 +341,7 @@ def build_algebra(pres: Presentation, cap: int = 30, max_paths: int = 20000) -> 
         reps.append(ArrowRep(a.name, asrc[ai], atgt[ai], tuple(vec)))
 
     alg = BasedAlgebra(f, q.vertices, labels, source, target, idempotents,
-                       radical, mult, reps, origin=pres)
+                       radical, mult, reps)
     # expressions of a path basis are the paths themselves
     exprs = []
     for p in basis_paths:
@@ -408,7 +410,7 @@ def radical_square_vectors(a: BasedAlgebra):
     return out
 
 
-def _derive_arrow_reps(a: BasedAlgebra, labels_taken=None):
+def _derive_arrow_reps(a: BasedAlgebra):
     """Pick radical basis elements forming a basis of rad/rad^2, graded."""
     f = a.field
     tracker = SpanTracker(f)
@@ -636,9 +638,10 @@ def check_idempotents(a: BasedAlgebra) -> bool:
     return True
 
 
-def radical_nilpotency_degree(a: BasedAlgebra, cap=None):
-    """Smallest L with rad^L = 0, or None if cap exceeded."""
-    cap = cap or (a.dim + 1)
+def radical_nilpotency_degree(a: BasedAlgebra):
+    """Smallest L with rad^L = 0, or None when there is none up to dim + 2
+    (rad is not nilpotent)."""
+    cap = a.dim + 1
     f = a.field
     current = [a.unit(k) for k in a.radical]
     power = 1

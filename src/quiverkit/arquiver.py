@@ -41,7 +41,7 @@ from quiverkit.repmod import (
     projective,
     radical_of,
     restrict_along_quotient,
-    right_multiples,
+    right_action,
     simple,
     socle_of,
     socle_quotient,
@@ -59,13 +59,14 @@ class ARFragment:
     """A finite piece of the AR quiver.
 
     nodes hold indecomposable representatives (first found wins).
-    arrows[(i, j)] is the multiplicity of node i in rad P when node j is P,
-    of node j in I/soc when node i is I, and otherwise of node i in the
-    middle of the almost split sequence ending at node j; a capped fragment
-    carries fewer arrows, never guessed ones.  tau_links[i] is the index of
-    the translate of node i (absent for projectives).  incomplete_reason is
-    None when the knit drained every queue under its caps, else the cap that
-    tripped: "node_cap", or "dim_cap" with the module's dimension.
+    arrows[(i, j)] is the multiplicity, at least 1, of node i in rad P when
+    node j is P, of node j in I/soc when node i is I, and otherwise of node i
+    in the middle of the almost split sequence ending at node j; a capped
+    fragment carries fewer arrows, never guessed ones.  tau_links[i] is the
+    index of the translate of node i (absent for projectives).
+    incomplete_reason is None when the knit drained every queue under its
+    caps, else the cap that tripped: "node_cap", or "dim_cap" with the
+    module's dimension.
     """
 
     algebra: BasedAlgebra
@@ -84,10 +85,7 @@ class ARFragment:
         return self.incomplete_reason is None
 
     def find(self, module) -> int:
-        for i, node in enumerate(self.nodes):
-            if node.dims == module.dims and _indec_iso(node, module):
-                return i
-        return -1
+        return _find_node(self.nodes, module)
 
     def node_by_label(self, label) -> int:
         for i, lab in enumerate(self.labels):
@@ -96,7 +94,7 @@ class ARFragment:
         return -1
 
     def successors(self, i):
-        return sorted(j for (x, j) in self.arrows if x == i and self.arrows[(x, j)] > 0)
+        return sorted(j for (x, j) in self.arrows if x == i)
 
     def tau_inverse_of(self, i):
         for src, tgt in self.tau_links.items():
@@ -110,9 +108,8 @@ class ARFragment:
             return self._reach
         n = len(self.nodes)
         adj = [[False] * n for _ in range(n)]
-        for (i, j), m in self.arrows.items():
-            if m > 0:
-                adj[i][j] = True
+        for i, j in self.arrows:
+            adj[i][j] = True
         reach = [row[:] for row in adj]
         for k in range(n):
             for i in range(n):
@@ -133,9 +130,8 @@ class ARFragment:
         if self._sectional is not None:
             return self._sectional
         succ = {}
-        for (i, j), m in self.arrows.items():
-            if m > 0:
-                succ.setdefault(i, []).append(j)
+        for i, j in self.arrows:
+            succ.setdefault(i, []).append(j)
         for s in succ:
             succ[s] = sorted(succ[s])
         out = []
@@ -168,7 +164,7 @@ class ARFragment:
             ],
             "arrows": [
                 {"source": i, "target": j, "multiplicity": m}
-                for (i, j), m in sorted(self.arrows.items()) if m > 0
+                for (i, j), m in sorted(self.arrows.items())
             ],
             "tau_links": {str(i): j for i, j in sorted(self.tau_links.items())},
             "complete": self.complete,
@@ -187,6 +183,14 @@ class ARFragment:
             lines.append(f"  n{i} -> n{j} [style=dashed, constraint=false];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _find_node(nodes, module) -> int:
+    """The index of the node isomorphic to the indecomposable module, or -1."""
+    for i, node in enumerate(nodes):
+        if node.dims == module.dims and _indec_iso(node, module):
+            return i
+    return -1
 
 
 def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
@@ -210,9 +214,9 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
         nonlocal reason
         if m.is_zero():
             return None
-        for i, node in enumerate(nodes):
-            if node.dims == m.dims and _indec_iso(node, m):
-                return i
+        i = _find_node(nodes, m)
+        if i >= 0:
+            return i
         if len(nodes) >= node_cap or m.total_dim > dim_cap:
             reason = reason or ("node_cap" if len(nodes) >= node_cap
                                 else f"dim_cap (a module of dimension {m.total_dim})")
@@ -332,9 +336,7 @@ def _connected_full_subquiver(frag, sigma):
     stack = [sigma[0]]
     while stack:
         x = stack.pop()
-        for (i, j), m in frag.arrows.items():
-            if m <= 0:
-                continue
+        for i, j in frag.arrows:
             nxt = None
             if i == x and j in sset:
                 nxt = j
@@ -378,8 +380,8 @@ def check_slice(a, frag: ARFragment, sigma) -> SliceVerdict:
             violations.append(("S3", f"{frag.labels[i]} and its translate both in the set"))
     # irreducible X -> S with S in the set: X in it, or X non-injective with
     # its inverse translate in it
-    for (x, s), m in frag.arrows.items():
-        if m <= 0 or s not in sset or x in sset:
+    for x, s in frag.arrows:
+        if s not in sset or x in sset:
             continue
         ti = frag.tau_inverse_of(x)
         if x in frag.injective_at or ti is None or ti not in sset:
@@ -399,15 +401,15 @@ def check_local_slice(a, frag: ARFragment, sigma) -> SliceVerdict:
     if not _connected_full_subquiver(frag, sigma):
         violations.append(("connected", "induced subquiver is not connected"))
     # LS1: arrows out of the set land in it or have their translate in it
-    for (x, y), m in frag.arrows.items():
-        if m <= 0 or x not in sset or y in sset:
+    for x, y in frag.arrows:
+        if x not in sset or y in sset:
             continue
         t = frag.tau_links.get(y)
         if t is None or t not in sset:
             violations.append(("LS1", f"arrow {frag.labels[x]} -> {frag.labels[y]}"))
     # LS2: arrows into the set come from it or have their inverse translate in it
-    for (x, y), m in frag.arrows.items():
-        if m <= 0 or y not in sset or x in sset:
+    for x, y in frag.arrows:
+        if y not in sset or x in sset:
             continue
         ti = frag.tau_inverse_of(x)
         if ti is None or ti not in sset:
@@ -512,18 +514,21 @@ def tilted_quotient(a: BasedAlgebra, sigma_modules) -> TiltedQuotient:
                 break
         if not criterion:
             break
-    # one row per basis vector u of a module and coordinate of the module:
-    # the coordinate of u.b_k over k; the annihilator is their kernel
+    # one row per entry (i, j) of the action of a module from vertex v to
+    # vertex w: the (i, j) entry of R_k over k; the annihilator is their kernel
     z = f.zero()
     rows = []
     for m in sigma_modules:
         for v in range(len(a.vertices)):
-            for unit in Matrix.identity(f, m.dims[v]).data:
-                images = right_multiples(m, v, unit)
-                for w in range(len(a.vertices)):
-                    for i in range(m.dims[w]):
-                        rows.append([images[k][i] if k in images and a.target[k] == w
-                                     else z for k in range(a.dim)])
+            acts = right_action(m, v)
+            for w in range(len(a.vertices)):
+                ks = [k for k in acts if a.target[k] == w]
+                for i in range(m.dims[w]):
+                    for j in range(m.dims[v]):
+                        row = [z] * a.dim
+                        for k in ks:
+                            row[k] = acts[k].data[i][j]
+                        rows.append(row)
     ann_vectors = []
     if rows:
         ann_vectors = kernel_basis(Matrix(f, rows, len(rows), a.dim))

@@ -170,7 +170,7 @@ def _fragment_text(frag):
         lines.append(f"  [{i}] {frag.labels[i]} dims {list(node.dims)} "
                      f"{' '.join(tags)}{tl}")
     arrows = ", ".join(f"{frag.labels[i]}->{frag.labels[j]}" + (f" x{m}" if m > 1 else "")
-                       for (i, j), m in sorted(frag.arrows.items()) if m > 0)
+                       for (i, j), m in sorted(frag.arrows.items()))
     lines.append("arrows: " + arrows)
     return "\n".join(lines)
 

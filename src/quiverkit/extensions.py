@@ -7,6 +7,9 @@
   left and right actions: its blocks Ext^2(I(j), P(i)) are read from
   `homology.ext_group` over minimal resolutions of the indecomposable
   injectives, and each action's image is reduced by that block's `classes`;
+  its multiplication maps b . - : P(t) -> P(s) and D(- . b) : I(t) -> I(s),
+  for b from s to t, are at each vertex v the transposed actions
+  (`repmod.right_action`) of b on I(v) and on P(v);
 * the trivial (relation) extension A x Ext^2(D A, A) for algebras of
   global dimension at most 2;
 * an instance checker for commutation of the two constructions along a
@@ -34,11 +37,8 @@ from quiverkit.repmod import (
     dual_module,
     injective,
     projective,
-    projective_basis_indices,
     projective_cover,
-    projective_sum,
-    psum_map,
-    right_multiples,
+    right_action,
     top_generator_slots,
 )
 
@@ -116,17 +116,14 @@ def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
     # the new idempotent is a left identity on itself and the m-part
     for k in range(na, dim):
         mult[na][k] = [f.one() if x == k else z for x in range(dim)]
-    # a acts on the m-part from the right as on m
+    # a acts on the m-part from the right as on m: m_i . b_j is column i of R_j
     for v in range(nverts):
-        for i, unit in enumerate(Matrix.identity(f, m.dims[v]).data):
-            k = na + 1 + moff[v] + i
-            for j, img in right_multiples(m, v, unit).items():
+        for j, r in right_action(m, v).items():
+            w0 = na + 1 + moff[a.target[j]]
+            for i in range(m.dims[v]):
                 vec = [z] * dim
-                w0 = na + 1 + moff[a.target[j]]
-                for r, x in enumerate(img):
-                    if x != z:
-                        vec[w0 + r] = x
-                mult[k][j] = vec
+                vec[w0:w0 + r.rows] = r.column(i)
+                mult[na + 1 + moff[v] + i][j] = vec
 
     # extension arrows: one per top(m) generator
     new_arrow_slots = top_generator_slots(m)
@@ -219,32 +216,15 @@ def _act(mats, algebra_vec, evec):
     return out
 
 
-def _left_mult_map(a, k):
-    """Left multiplication by basis element k as a map P(target) -> P(source):
-    the generator of P(target) goes to b_k."""
-    s, t = a.source[k], a.target[k]
-    at_t = projective_basis_indices(a, a.vertices[s])[t]
-    image = [a.field.one() if kb == k else a.field.zero() for kb in at_t]
-    return psum_map(projective_sum(a, [t]), projective(a, a.vertices[s]), [image])
-
-
-def _dual_right_mult_map(a, k, injs):
-    """D of right multiplication by basis element k: I(target) -> I(source).
-
-    Right multiplication by b_k is left multiplication by b_k over the
-    opposite algebra, between the projectives there that D turns into I(t)
-    and I(s)."""
-    left_op = _left_mult_map(a.opposite(), k)
-    return ModuleMap(injs[a.target[k]], injs[a.source[k]],
-                     [b.transpose() for b in left_op.blocks])
-
-
 def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     """Ext^2(D C, C) with its bimodule structure (global dimension <= 2).
 
     The left action post-composes cocycles with left-multiplication maps
     between projectives; the right action precomposes with deterministic
     chain lifts of the dualised right-multiplication maps on injectives.
+    At each vertex v, b_k . - : P(t) -> P(s) is the transposed action of b_k
+    on I(v), and D(- . b_k) : I(t) -> I(s) the transposed action of b_k on
+    P(v), for b_k from s to t.
     """
     gd = global_dim(c, cap=3)
     if gd is None or gd > 2:
@@ -272,14 +252,16 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     for pos, (i, j, t) in enumerate(basis):
         pos_of[(i, j, t)] = pos
 
-    # precompute chain lifts of the dualised right-multiplication maps
+    on_inj = [[right_action(injs[v], s) for s in range(nverts)] for v in range(nverts)]
+    on_proj = [[right_action(projs[v], s) for s in range(nverts)] for v in range(nverts)]
     left_mats = []
     right_mats = []
     for k in range(c.dim):
         s, t = c.source[k], c.target[k]
         lm = Matrix.zeros(f, dimE, dimE)
         if dimE:
-            lam = _left_mult_map(c, k)
+            lam = ModuleMap(projs[t], projs[s],
+                            [on_inj[v][s][k].transpose() for v in range(nverts)])
             for pos, (i, j, u) in enumerate(basis):
                 if i != t:
                     continue
@@ -292,7 +274,8 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
 
         rm = Matrix.zeros(f, dimE, dimE)
         if dimE:
-            mu = _dual_right_mult_map(c, k, injs)  # I(t) -> I(s)
+            mu = ModuleMap(injs[t], injs[s],
+                           [on_proj[v][s][k].transpose() for v in range(nverts)])
             p2_src = resolutions[t].term_module(2)
             if p2_src is not None and not p2_src.is_zero():
                 lifts = lift_chain_map(mu, resolutions[t], resolutions[s], 2)

@@ -5,14 +5,16 @@ in [0, p) over GF(p).  All results are exact; there are no tolerances
 anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
-elimination serves `rref`, `kernel_basis`, `solve` and `SpanTracker`.  Its single row step, row -= c * pivot_row, visits only the
-nonzero columns of the pivot row, and uses nothing of the field but `inv`,
-`sub` and `mul`.  It tests entries for zero by truth value, so GF(p)
-entries must stay reduced into [0, p): `from_int` and `scalar_from_str`
-reduce every scalar that enters, and the field operations keep it so.
+elimination serves `rref`, `kernel_basis`, `solve` and `SpanTracker`.  Its
+single row step, row -= c * pivot_row, visits only the nonzero columns of
+the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
+It tests entries for zero by truth value, so GF(p) entries must stay
+reduced into [0, p): `from_int` and `scalar_from_str` reduce every scalar
+that enters, and the field operations keep it so.
 
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
-composite "first f, then g" has matrix g @ f.
+composite "first f, then g" has matrix g @ f.  `lincomb` sums scaled
+matrices, the one linear combination of maps.
 """
 
 from __future__ import annotations
@@ -258,18 +260,15 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise LinalgError("shape mismatch in addition")
-    f = a.field
-    return Matrix(f, [[f.add(a.data[i][j], b.data[i][j]) for j in range(a.cols)]
-                      for i in range(a.rows)], a.rows, a.cols)
-
-
-def mat_scale(c, m: Matrix) -> Matrix:
-    f = m.field
-    return Matrix(f, [[f.mul(c, x) for x in row] for row in m.data],
-                  m.rows, m.cols)
+def lincomb(f, rows, cols, terms):
+    """The rows x cols matrix sum c * R over the (c, R) pairs of terms."""
+    out = Matrix.zeros(f, rows, cols)
+    for c, r in terms:
+        if c:
+            for orow, rrow in zip(out.data, r.data):
+                for j, x in _support(rrow):
+                    orow[j] = f.add(orow[j], f.mul(c, x))
+    return out
 
 
 @dataclass

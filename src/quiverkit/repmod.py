@@ -4,7 +4,10 @@ A module assigns to each vertex a finite-dimensional space and to each
 Gabriel-quiver arrow i -> j a matrix M_i -> M_j (right action, arrows
 composed left to right).  Everything downstream -- Hom spaces, radical
 series, projective covers, duality, decomposition -- is exact linear
-algebra over the algebra's field.
+algebra over the algebra's field.  Basis elements act through arrow words:
+`right_multiples` pushes one vector, and `right_action` gives the matrix of
+each basis element's action, the one table that validation, restriction,
+annihilators and the extensions read.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from quiverkit.linalg import (
     Matrix,
     SpanTracker,
     kernel_basis,
-    mat_add,
-    mat_scale,
+    lincomb,
     matmul,
     rref,
     solve,
@@ -53,7 +55,7 @@ class Module:
         self._basis_action = None
         self._key = None
         if validate:
-            _validate_relations(self)
+            _validate_action(self)
 
     @property
     def total_dim(self):
@@ -136,39 +138,19 @@ class Module:
         return f"Module({self.label}, dims={list(self.dims)})"
 
 
-def _validate_relations(m: Module):
+def _validate_action(m: Module):
+    """Raise unless b_k -> R_k is multiplicative: (u.b_i).b_j = u.(b_i b_j)
+    for every basis vector u of M.  The arrow action factors through the
+    algebra exactly then, whether or not it came from a presentation."""
     a = m.algebra
-    pres = a.origin
-    if pres is None:
-        # consistency of the arrow action with the structure constants:
-        # (u.b_i).b_j must equal u.(b_i b_j) for every basis vector u of M
-        f = a.field
-        z = f.zero()
-        for v in range(len(m.dims)):
-            for unit in Matrix.identity(f, m.dims[v]).data:
-                mults = right_multiples(m, v, unit)
-                for i, ui in mults.items():
-                    for j, lhs in right_multiples(m, a.target[i], ui).items():
-                        rhs = [z] * len(lhs)
-                        for k, x in enumerate(a.mult[i][j]):
-                            if x != z:
-                                for r, y in enumerate(mults[k]):
-                                    rhs[r] = f.add(rhs[r], f.mul(x, y))
-                        if lhs != rhs:
-                            raise ModuleError("module action violates the structure constants")
-        return
-    f = a.field
-    for rel in pres.relations:
-        acc = None
-        for coeff, names in rel.terms:
-            src = pres.quiver.arrow_by_name(names[0]).source
-            cur = Matrix.identity(f, m.dims[a.vertex_index(src)])
-            for nm in names:
-                cur = matmul(m.mats[nm], cur)
-            term = mat_scale(coeff, cur)
-            acc = term if acc is None else mat_add(acc, term)
-        if acc is not None and not acc.is_zero():
-            raise ModuleError("a relation does not act as zero")
+    acts = [right_action(m, v) for v in range(len(m.dims))]
+    for v, at_v in enumerate(acts):
+        for i, ri in at_v.items():
+            for j, rj in acts[a.target[i]].items():
+                rhs = lincomb(a.field, rj.rows, ri.cols,
+                              [(c, at_v[k]) for k, c in enumerate(a.mult[i][j]) if c])
+                if matmul(rj, ri) != rhs:
+                    raise ModuleError("module action violates the structure constants")
 
 
 @dataclass
@@ -215,14 +197,10 @@ class ModuleMap:
 def combine_maps(coords, basis, source, target):
     """The linear combination sum(coords[t] * basis[t]) as a ModuleMap."""
     f = source.algebra.field
-    acc = [Matrix.zeros(f, target.dims[v], source.dims[v])
-           for v in range(len(source.dims))]
-    for c, h in zip(coords, basis):
-        if c == f.zero():
-            continue
-        acc = [mat_add(acc[v], mat_scale(c, h.blocks[v]))
-               for v in range(len(acc))]
-    return ModuleMap(source, target, acc)
+    return ModuleMap(source, target, [
+        lincomb(f, target.dims[v], source.dims[v],
+                [(c, h.blocks[v]) for c, h in zip(coords, basis)])
+        for v in range(len(source.dims))])
 
 
 def identity_map(m: Module) -> ModuleMap:
@@ -641,9 +619,9 @@ class ProjectiveSum:
         return psum_map(self, target, images)
 
 
-def projective_sum(a: BasedAlgebra, verts, label=None) -> ProjectiveSum:
+def projective_sum(a: BasedAlgebra, verts) -> ProjectiveSum:
     mods = [projective(a, a.vertices[v]) for v in verts]
-    label = label or "+".join(f"P({a.vertices[v]})" for v in verts)
+    label = "+".join(f"P({a.vertices[v]})" for v in verts)
     return ProjectiveSum(a, list(verts), direct_sum(a, mods, label=label or "P"))
 
 
@@ -680,6 +658,18 @@ def right_multiples(m: Module, v, vec):
                     acc[i] = f.add(acc[i], f.mul(coeff, x))
         out[k] = acc
     return out
+
+
+def right_action(m: Module, v):
+    """{k: R_k}, in basis order, for every basis element b_k leaving vertex
+    index v: R_k is the matrix of u -> u . b_k, from M at v to M at the
+    target of b_k, and its i-th column is `right_multiples` of the i-th
+    unit vector."""
+    a = m.algebra
+    f = a.field
+    cols = [right_multiples(m, v, unit) for unit in Matrix.identity(f, m.dims[v]).data]
+    return {k: Matrix.from_columns(f, [c[k] for c in cols], m.dims[a.target[k]])
+            for k in range(a.dim) if a.source[k] == v}
 
 
 def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
@@ -875,36 +865,25 @@ def restrict_along_quotient(m: Module, quot: BasedAlgebra, label=None) -> Module
     if quot.parent is not a:
         raise ModuleError("not a quotient of the module's algebra")
     f = a.field
-    z = f.zero()
-    # right multiples of each unit vector at each vertex
-    unit_multiples = [[right_multiples(m, v, unit)
-                       for unit in Matrix.identity(f, m.dims[v]).data]
-                      for v in range(len(a.vertices))]
-    # u.x = 0 for every basis vector u of m and x in a basis of the ideal
-    for images in (im for per_unit in unit_multiples for im in per_unit):
+    acts = [right_action(m, v) for v in range(len(a.vertices))]
+    # sum_k x_k R_k = 0 at every pair of vertices, for x in a basis of the ideal
+    for v, at_v in enumerate(acts):
         for x in quot.ideal.basis:
-            acc = [[z] * d for d in m.dims]
-            for k, image in images.items():
-                w = a.target[k]
-                acc[w] = [f.add(s, f.mul(x[k], y)) for s, y in zip(acc[w], image)]
-            if any(map(any, acc)):
-                raise ModuleError("the quotient's ideal does not annihilate the module")
+            for w in range(len(a.vertices)):
+                if not lincomb(f, m.dims[w], m.dims[v], [
+                        (x[k], r) for k, r in at_v.items() if a.target[k] == w]).is_zero():
+                    raise ModuleError("the quotient's ideal does not annihilate the module")
     dims = [m.dims[a.vertex_index(v)] for v in quot.vertices]
     mats = {}
     for rep in quot.arrow_reps:
-        src_old = a.vertex_index(quot.vertices[rep.source])
-        tgt_old = a.vertex_index(quot.vertices[rep.target])
-        blk = Matrix.zeros(f, m.dims[tgt_old], m.dims[src_old])
-        for j, images in enumerate(unit_multiples[src_old]):
-            for pos, c in enumerate(rep.vector):
-                if c != z:
-                    for i, x in enumerate(images[quot.parent_basis[pos]]):
-                        blk.data[i][j] = f.add(blk.data[i][j], f.mul(c, x))
-        mats[rep.name] = blk
+        src = a.vertex_index(quot.vertices[rep.source])
+        tgt = a.vertex_index(quot.vertices[rep.target])
+        mats[rep.name] = lincomb(f, m.dims[tgt], m.dims[src], [
+            (c, acts[src][quot.parent_basis[pos]]) for pos, c in enumerate(rep.vector) if c])
     return Module(quot, dims, mats, label=label or m.label)
 
 
-def transport_module(m: Module, target: BasedAlgebra, label=None) -> Module:
+def transport_module(m: Module, target: BasedAlgebra) -> Module:
     """Re-express a module over an algebra with matching vertex ids.
 
     Arrows are matched by name when possible, otherwise by being the unique
@@ -946,7 +925,7 @@ def transport_module(m: Module, target: BasedAlgebra, label=None) -> Module:
     for r in src_alg.arrow_reps:
         if r.name not in used and not m.mats[r.name].is_zero():
             raise ModuleError(f"arrow {r.name} with nonzero action has no counterpart")
-    return Module(target, dims, mats, label=label or m.label)
+    return Module(target, dims, mats, label=m.label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every function, class and method of the package has a reference somewhere
-in the repository's code, and every attribute the package stores on self is
-read somewhere: a helper without callers, or state that nothing reads,
-fails these tests."""
+in the repository's code, every attribute the package stores on self is
+read somewhere, and every parameter with a default is passed by some call:
+a helper without callers, state that nothing reads, or an option that no
+caller sets fails these tests."""
 
 import ast
 import re
@@ -101,3 +102,68 @@ def test_every_stored_attribute_is_read():
               for path, tree in trees if path.is_relative_to(PACKAGE)
               for name, line in _stored_attributes(tree) if name not in read]
     assert unread == []
+
+
+def _functions(tree):
+    """(name a call uses, function, leading parameters that a call does not
+    list) of every function, method and constructor: a constructor is
+    called by its class's name, and a method's self or cls comes from the
+    call's receiver."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for d in node.body:
+                if isinstance(d, ast.FunctionDef):
+                    static = any(getattr(x, "id", None) == "staticmethod"
+                                 for x in d.decorator_list)
+                    methods[id(d)] = (node.name if d.name == "__init__" else d.name,
+                                      0 if static else 1)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, skip = methods.get(id(node), (node.name, 0))
+            yield name, node, skip
+
+
+def _optional_parameters(fn, skip):
+    """(position in a call or None, name) of fn's parameters with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+        yield i - skip, positional[i].arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _calls(tree):
+    """(called name, positions passed, keywords passed) of every call, with
+    the name resolved as the dead-code test does; a starred argument passes
+    every position and a double-starred one every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield (name, float("inf") if starred else len(node.args),
+               None if None in keywords else keywords)
+
+
+def test_every_optional_parameter_is_passed():
+    trees = list(_trees())
+    calls = {}
+    for _, tree in trees:
+        for name, npos, keywords in _calls(tree):
+            calls.setdefault(name, []).append((npos, keywords))
+
+    def passed(name, pos, param):
+        return any((pos is not None and pos < npos)
+                   or keywords is None or param in keywords
+                   for npos, keywords in calls.get(name, ()))
+
+    unpassed = [f"{path.relative_to(ROOT)}:{fn.lineno} {fn.name}({param})"
+                for path, tree in trees if path.is_relative_to(PACKAGE)
+                for name, fn, skip in _functions(tree)
+                for pos, param in _optional_parameters(fn, skip)
+                if not passed(name, pos, param)]
+    assert unpassed == []

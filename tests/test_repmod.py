@@ -182,6 +182,19 @@ def test_module_json_validates_relations(alg_b):
         module_from_json(alg_b, data)
 
 
+@pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
+def test_module_json_validates_a_commutativity_relation(field):
+    from fractions import Fraction
+    a = _fixture_over("d4_clustertilted.q", field)
+    data = module_to_json(projective(a, "1"))
+    # doubling b breaks a*b + g*d only: e acts as zero on P(1), so the zero
+    # relations still hold
+    data["actions"]["b"] = [[str(2 * Fraction(x)) for x in row]
+                            for row in data["actions"]["b"]]
+    with pytest.raises(ModuleError):
+        module_from_json(a, data)
+
+
 def test_submodule_requires_closed_spans(alg_b):
     p = projective(alg_b, "2")
     # the span at the top vertex is not action-closed
@@ -362,14 +375,24 @@ def _action_cases(field):
 
 @pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
 def test_right_multiples_match_basis_action_reference(field):
-    from quiverkit.repmod import right_multiples
+    from quiverkit.repmod import right_action, right_multiples
     for a, nodes in _action_cases(field):
         for m in list(nodes) + [dual_module(n) for n in nodes]:
-            f = m.algebra.field
+            alg = m.algebra
+            f = alg.field
+            off = m.offsets()
             for v in range(len(a.vertices)):
                 for c in range(m.dims[v]):
                     unit = [f.one() if i == c else f.zero() for i in range(m.dims[v])]
                     assert right_multiples(m, v, unit) == _reference_multiples(m, v, unit)
+                # R_k is the (target, source) block of b_k's total-space action
+                acts = right_action(m, v)
+                assert list(acts) == [k for k in range(alg.dim) if alg.source[k] == v]
+                for k, r in acts.items():
+                    w = alg.target[k]
+                    block = [row[off[v]:off[v] + m.dims[v]] for row in
+                             m.basis_action()[k].data[off[w]:off[w] + m.dims[w]]]
+                    assert (r.rows, r.cols, r.data) == (m.dims[w], m.dims[v], block)
 
 
 def _reference_annihilator(a, modules):
@@ -430,12 +453,10 @@ def test_tilted_quotient_and_restriction_match_reference(field):
 
 
 def test_module_json_validates_structure_constants(alg_b):
-    # over a one-point extension (no presentation) the check runs on the
-    # structure constants
+    # over a one-point extension, an algebra given by structure constants
     from quiverkit.extensions import one_point_extension
     ext = one_point_extension(
         alg_b, direct_sum(alg_b, [projective(alg_b, v) for v in "123"]))
-    assert ext.origin is None
     for v in ext.vertices:
         m = projective(ext, v)
         assert module_from_json(ext, module_to_json(m)).key() == m.key()
