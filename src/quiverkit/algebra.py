@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quiverkit.linalg import Matrix, SpanTracker, rref, solve
+from quiverkit.linalg import Matrix, SpanTracker, rref, solve, unit_complement
 from quiverkit.quiver import Arrow, Presentation, Quiver
 
 
@@ -411,17 +411,12 @@ def radical_square_vectors(a: BasedAlgebra):
 
 
 def _derive_arrow_reps(a: BasedAlgebra):
-    """Pick radical basis elements forming a basis of rad/rad^2, graded."""
-    f = a.field
-    tracker = SpanTracker(f)
-    for v in radical_square_vectors(a):
-        tracker.add(v)
-    reps = []
-    for k in a.radical:
-        if tracker.add(a.unit(k)):
-            reps.append(ArrowRep(a.labels[k], a.source[k], a.target[k],
-                                 tuple(a.unit(k))))
-    return reps
+    """The radical basis elements among the unit vectors, earliest first,
+    that complete rad^2 (`linalg.unit_complement`): a basis of rad/rad^2,
+    graded."""
+    free = set(unit_complement(a.field, radical_square_vectors(a), a.dim))
+    return [ArrowRep(a.labels[k], a.source[k], a.target[k], tuple(a.unit(k)))
+            for k in a.radical if k in free]
 
 
 def gabriel_quiver(a: BasedAlgebra) -> Quiver:

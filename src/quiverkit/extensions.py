@@ -28,7 +28,7 @@ from quiverkit.algebra import (
     opposite_algebra,
 )
 from quiverkit.homology import ext_group, global_dim, lift_chain_map, min_resolution
-from quiverkit.linalg import Matrix, SpanTracker
+from quiverkit.linalg import Matrix, unit_complement
 from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
     Module,
@@ -175,18 +175,14 @@ class Bimodule:
         return out
 
     def arrow_positions(self):
-        """Basis positions whose unit vectors complete rad.E + E.rad to E:
-        a basis of E/(rad.E + E.rad), the new arrows of the trivial
-        extension."""
+        """Basis positions, earliest first, whose unit vectors complete
+        rad.E + E.rad to E (`linalg.unit_complement` of the columns of the
+        radical's left and right actions): a basis of E/(rad.E + E.rad), the
+        new arrows of the trivial extension."""
         a = self.algebra
-        f = a.field
-        tr = SpanTracker(f)
-        for r in a.radical:
-            for mat in (self.left[r], self.right[r]):
-                for c in range(mat.cols):
-                    tr.add(mat.column(c))
-        return [t for t in range(self.dim)
-                if tr.add([f.one() if i == t else f.zero() for i in range(self.dim)])]
+        images = [col for r in a.radical for mat in (self.left[r], self.right[r])
+                  for col in mat.transpose().data]
+        return unit_complement(a.field, images, self.dim)
 
     def arrow_block_dims(self):
         """Dimensions per block of E modulo (rad.E + E.rad): the new-arrow

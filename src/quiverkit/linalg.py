@@ -5,7 +5,8 @@ in [0, p) over GF(p).  All results are exact; there are no tolerances
 anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
-elimination serves `rref`, `kernel_basis`, `solve` and `SpanTracker`.  Its
+elimination serves `rref`, `kernel_basis`, `solve`, `unit_complement` and
+`SpanTracker`.  Its
 single row step, row -= c * pivot_row, visits only the nonzero columns of
 the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
 It tests entries for zero by truth value, so GF(p) entries must stay
@@ -15,6 +16,12 @@ that enters, and the field operations keep it so.
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
 composite "first f, then g" has matrix g @ f.  `lincomb` sums scaled
 matrices, the one linear combination of maps.
+
+`unit_complement(f, vecs, n)` is the one rule for choosing coordinates of a
+quotient space: the positions whose unit vectors complete span(vecs) to k^n,
+earliest first.  They are the positions left free by one `rref` that
+pivots on the latest positions, which by matroid duality is also what adding
+unit vectors greedily, earliest first, would keep.
 """
 
 from __future__ import annotations
@@ -177,7 +184,7 @@ class Matrix:
     @classmethod
     def zeros(cls, field, rows, cols):
         z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return cls.wrap(field, [[z] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, field, n):
@@ -376,6 +383,14 @@ def solve(m: Matrix, b: list):
     for r, pc in enumerate(res.pivot_columns):
         x[pc] = res.reduced.data[r][m.cols]
     return x
+
+
+def unit_complement(f, vecs, n):
+    """The positions, earliest first, whose unit vectors complete span(vecs)
+    to k^n: those left free by an rref of vecs with the columns reversed."""
+    pivots = rref(Matrix.wrap(f, [row[::-1] for row in vecs], len(vecs), n)).pivot_columns
+    taken = {n - 1 - c for c in pivots}
+    return [k for k in range(n) if k not in taken]
 
 
 class SpanTracker:

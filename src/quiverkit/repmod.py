@@ -8,6 +8,10 @@ algebra over the algebra's field.  Basis elements act through arrow words:
 `right_multiples` pushes one vector, and `right_action` gives the matrix of
 each basis element's action, the one table that validation, restriction,
 annihilators and the extensions read.
+
+Submodules and quotients take the reduced echelon basis of each span: a
+vector of the span has its coordinates at the pivot columns, and a
+quotient's basis is the classes of the unit vectors at the free columns.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ from dataclasses import dataclass
 from quiverkit.algebra import BasedAlgebra
 from quiverkit.linalg import (
     Matrix,
-    SpanTracker,
     kernel_basis,
     lincomb,
     matmul,
     rref,
-    solve,
+    unit_complement,
 )
 
 
@@ -365,93 +368,67 @@ def _unflatten_hom(m, n, flat):
 # submodules, quotients, kernels
 
 
+def _echelon(f, vecs, d):
+    """The reduced echelon basis of span(vecs) in k^d, and its pivot columns."""
+    if not vecs:
+        return [], []
+    res = rref(Matrix(f, vecs, len(vecs), d))
+    return res.reduced.data[:res.rank], res.pivot_columns
+
+
 def submodule_from_spans(m: Module, spans, label="U"):
     """Module on the given per-vertex spanning vectors, with the inclusion.
 
     spans[v] is a list of coordinate vectors in M_v whose span must be
-    closed under all arrow actions.
+    closed under all arrow actions.  The basis at v is the span's reduced
+    echelon basis, so an arrow's block is its image read at the pivot
+    columns of the target.
     """
     a = m.algebra
     f = a.field
-    bases = []
-    for v in range(len(m.dims)):
-        vecs = spans[v]
-        if vecs:
-            res = rref(Matrix(f, vecs, len(vecs), m.dims[v]))
-            bases.append([res.reduced.data[i] for i in range(res.rank)])
-        else:
-            bases.append([])
-    dims = [len(b) for b in bases]
-    incl_blocks = [
-        Matrix.from_columns(f, bases[v], m.dims[v]) if bases[v]
-        else Matrix.zeros(f, m.dims[v], 0)
-        for v in range(len(m.dims))
-    ]
+    echelons = [_echelon(f, spans[v], d) for v, d in enumerate(m.dims)]
+    dims = [len(rows) for rows, _ in echelons]
+    incl_blocks = [Matrix.from_columns(f, rows, d) for (rows, _), d in zip(echelons, m.dims)]
     mats = {}
     for rep in a.arrow_reps:
         src, tgt = rep.source, rep.target
-        A = m.mats[rep.name]
-        out = Matrix.zeros(f, dims[tgt], dims[src])
-        if dims[src] and dims[tgt]:
-            img = matmul(A, incl_blocks[src])
-            for col in range(dims[src]):
-                coords = solve(incl_blocks[tgt], img.column(col))
-                if coords is None:
-                    raise ModuleError("spans not closed under the arrow actions")
-                for row in range(dims[tgt]):
-                    out.data[row][col] = coords[row]
-        elif dims[src]:
-            img = matmul(A, incl_blocks[src])
-            if not img.is_zero():
-                raise ModuleError("spans not closed under the arrow actions")
-        mats[rep.name] = out
+        img = matmul(m.mats[rep.name], incl_blocks[src])
+        pivots = echelons[tgt][1]
+        block = Matrix.wrap(f, [img.data[p] for p in pivots], dims[tgt], dims[src])
+        if img.cols and matmul(incl_blocks[tgt], block) != img:
+            raise ModuleError("spans not closed under the arrow actions")
+        mats[rep.name] = block
     sub = Module(a, dims, mats, label=label)
     return sub, ModuleMap(sub, m, incl_blocks)
 
 
 def quotient_module(m: Module, spans, label="Q"):
-    """Quotient of M by the submodule spanned per-vertex by spans."""
+    """Quotient of M by the submodule spanned per-vertex by spans.
+
+    With rows r and pivots p of the span's echelon basis at v, the class of
+    u is the free (non-pivot) entries of u - sum u[p_r] r; the quotient's
+    basis is the classes of the unit vectors at the free positions.
+    """
     a = m.algebra
     f = a.field
     z = f.zero()
-    proj_blocks = []
-    sections = []
-    for v in range(len(m.dims)):
-        d = m.dims[v]
-        vecs = spans[v]
-        if not vecs:
-            proj_blocks.append(Matrix.identity(f, d))
-            sections.append(Matrix.identity(f, d))
-            continue
-        res = rref(Matrix(f, vecs, len(vecs), d))
-        pivots = res.pivot_columns
-        pivot_set = set(pivots)
-        free = [c for c in range(d) if c not in pivot_set]
-        # projection with kernel the span: free coordinates of the reduction
-        pr = Matrix.zeros(f, len(free), d)
-        for r_i, c in enumerate(free):
-            pr.data[r_i][c] = f.one()
-        for rr, pc in enumerate(pivots):
-            for r_i, c in enumerate(free):
-                val = res.reduced.data[rr][c]
-                if val != z:
-                    pr.data[r_i][pc] = f.neg(val)
-        sec = Matrix.zeros(f, d, len(free))
-        for r_i, c in enumerate(free):
-            sec.data[c][r_i] = f.one()
-        proj_blocks.append(pr)
-        sections.append(sec)
-    dims = [b.rows for b in proj_blocks]
+    free, proj_blocks = [], []
+    for v, d in enumerate(m.dims):
+        rows, pivots = _echelon(f, spans[v], d)
+        row_at = dict(zip(pivots, rows))
+        free.append([c for c in range(d) if c not in row_at])
+        # column c is the class of the unit vector at c
+        proj_blocks.append(Matrix.wrap(f, [
+            [f.neg(row_at[c][fc]) if c in row_at else f.one() if c == fc else z
+             for c in range(d)] for fc in free[v]], len(free[v]), d))
     mats = {}
     for rep in a.arrow_reps:
         src, tgt = rep.source, rep.target
         A = m.mats[rep.name]
-        if dims[src] and dims[tgt]:
-            out = matmul(proj_blocks[tgt], matmul(A, sections[src]))
-        else:
-            out = Matrix.zeros(f, dims[tgt], dims[src])
-        mats[rep.name] = out
-    quot = Module(a, dims, mats, label=label)
+        section = Matrix.wrap(f, [[row[c] for c in free[src]] for row in A.data],
+                              A.rows, len(free[src]))
+        mats[rep.name] = matmul(proj_blocks[tgt], section)
+    quot = Module(a, [len(fr) for fr in free], mats, label=label)
     return quot, ModuleMap(m, quot, proj_blocks)
 
 
@@ -703,23 +680,7 @@ def top_generator_slots(m: Module):
     generate M minimally."""
     f = m.algebra.field
     rad = radical_spans(m)
-    slots = []
-    for v, d in enumerate(m.dims):
-        if d == 0:
-            continue
-        tr = SpanTracker(f)
-        if rad[v]:
-            # one rref, then only its echelon rows enter the tracker: this
-            # runs for every cover in a knit
-            res = rref(Matrix(f, rad[v], len(rad[v]), d))
-            for i in range(res.rank):
-                tr.add(res.reduced.data[i])
-        for c in range(d):
-            unit = [f.zero()] * d
-            unit[c] = f.one()
-            if tr.add(unit):
-                slots.append((v, c))
-    return slots
+    return [(v, c) for v, d in enumerate(m.dims) for c in unit_complement(f, rad[v], d)]
 
 
 def projective_cover(m: Module):

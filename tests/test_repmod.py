@@ -204,6 +204,22 @@ def test_submodule_requires_closed_spans(alg_b):
         submodule_from_spans(p, spans)
 
 
+def test_submodule_closure_against_a_nonempty_target_span(alg_b):
+    p = direct_sum(alg_b, [projective(alg_b, "2")] * 2)
+    assert p.dims == (0, 2, 0, 2)
+    f = alg_b.field
+    e1, e2 = [f.one(), f.zero()], [f.zero(), f.one()]
+    spans = [[] for _ in alg_b.vertices]
+    spans[alg_b.vertex_index("2")] = [e1]
+    # b sends e1 at vertex 2 into e1 at vertex 4, outside the span of e2
+    spans[alg_b.vertex_index("4")] = [e2]
+    with pytest.raises(ModuleError):
+        submodule_from_spans(p, spans)
+    spans[alg_b.vertex_index("4")] = [e1]
+    sub, incl = submodule_from_spans(p, spans)
+    assert sub.dims == (0, 1, 0, 1)
+
+
 def test_socle_quotient(alg_b):
     i1 = injective(alg_b, "1")
     q = socle_quotient(i1)
