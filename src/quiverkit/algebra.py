@@ -13,6 +13,12 @@ Conventions, used consistently everywhere:
 * modules are right modules, so an arrow i -> j acts on vertex spaces
   as a map M_i -> M_j.
 
+Structure constants are sparse and graded: ``mult[(i, j)]`` holds the
+nonzero terms ``(k, c)`` of b_i * b_j, in basis order, and a pair is stored
+only when its product is nonzero, so only pairs with target(b_i) =
+source(b_j) can appear.  Products are read through `BasedAlgebra.mul_vec`;
+only the JSON form spells the table out densely.
+
 Basis representatives of a built algebra are paths in degree-lexicographic
 order (length first, then arrow order from the presentation); a relation
 rewrites its deglex-largest path into smaller ones, so the deglex-smallest
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quiverkit.linalg import Matrix, SpanTracker, rref, solve, unit_complement
+from quiverkit.linalg import Matrix, SpanTracker, echelon, rref, unit_complement
 from quiverkit.quiver import Arrow, Presentation, Quiver
 
 
@@ -56,7 +62,7 @@ class BasedAlgebra:
         self.target = list(target)
         self.idempotents = list(idempotents)
         self.radical = list(radical)
-        self.mult = mult  # mult[i][j] = list of coefficients over the basis
+        self.mult = mult  # {(i, j): ((k, c), ...)}: nonzero terms of b_i b_j
         self.arrow_reps = list(arrow_reps)
         self.parent = parent
         self.parent_basis = parent_basis
@@ -91,19 +97,16 @@ class BasedAlgebra:
 
     def mul_vec(self, v, w):
         f = self.field
-        z = f.zero()
-        out = [z] * self.dim
+        out = [f.zero()] * self.dim
+        wsupp = [(j, y) for j, y in enumerate(w) if y]
         for i, x in enumerate(v):
-            if x == z:
+            if not x:
                 continue
-            row = self.mult[i]
-            for j, y in enumerate(w):
-                if y == z:
-                    continue
-                prod = row[j]
-                c = f.mul(x, y)
-                for k, p in enumerate(prod):
-                    if p != z:
+            for j, y in wsupp:
+                terms = self.mult.get((i, j))
+                if terms:
+                    c = f.mul(x, y)
+                    for k, p in terms:
                         out[k] = f.add(out[k], f.mul(c, p))
         return out
 
@@ -136,7 +139,8 @@ class BasedAlgebra:
             "idempotents": list(self.idempotents),
             "radical": list(self.radical),
             "multiplication": [
-                [[f.scalar_to_str(c) for c in self.mult[i][j]] for j in range(self.dim)]
+                [[f.scalar_to_str(c) for c in self.mul_vec(self.unit(i), self.unit(j))]
+                 for j in range(self.dim)]
                 for i in range(self.dim)
             ],
         }
@@ -166,19 +170,13 @@ def _compute_expressions(a: BasedAlgebra):
         frontier = nxt
     if tracker.dim != a.dim:
         raise BuildError("idempotents and arrow representatives do not span the algebra")
-    prod_matrix = Matrix(f, [[vec[i] for (_, vec) in kept] for i in range(a.dim)])
-    exprs = []
-    z = f.zero()
-    for k in range(a.dim):
-        coords = solve(prod_matrix, a.unit(k))
-        exprs.append(
-            tuple(
-                (coords[t], kept[t][0][0], kept[t][0][1])
-                for t in range(len(kept))
-                if coords[t] != z
-            )
-        )
-    return exprs
+    # the kept products are a basis: one rref of [P | 1] leaves P^-1 on the
+    # right, whose column k holds the coordinates of b_k
+    n = a.dim
+    inverse = rref(Matrix.wrap(f, [[vec[i] for _, vec in kept] + a.unit(i) for i in range(n)],
+                               n, 2 * n)).reduced.data
+    return [tuple((inverse[t][n + k], v0, word) for t, ((v0, word), _) in enumerate(kept)
+                  if inverse[t][n + k]) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +313,16 @@ def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
         else:
             labels.append("*".join(arrows[ai].name for ai in w))
 
-    mult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+    mult = {}
     for i, pi in enumerate(basis_paths):
         si, ti, wi = path_list[pi]
         for j, pj in enumerate(basis_paths):
             sj, _, wj = path_list[pj]
             # products of length L_stop or more are zero
             if ti == sj and len(wi) + len(wj) < L_stop:
-                mult[i][j] = reduce([(path_index[(si, wi + wj)], f.one())])
+                terms = reduce([(path_index[(si, wi + wj)], f.one())])
+                if terms:
+                    mult[(i, j)] = terms
 
     idempotents = []
     for vi in range(nverts):
@@ -403,11 +403,7 @@ def _reject_unbounded_paths(arrows, asrc, atgt, terms):
 
 
 def radical_square_vectors(a: BasedAlgebra):
-    out = []
-    for i in a.radical:
-        for j in a.radical:
-            out.append(a.mult[i][j])
-    return out
+    return [a.mul_vec(a.unit(i), a.unit(j)) for i in a.radical for j in a.radical]
 
 
 def _derive_arrow_reps(a: BasedAlgebra):
@@ -444,7 +440,7 @@ def opposite_algebra(a: BasedAlgebra) -> BasedAlgebra:
     algebra, so its basis expressions are a's with every word reversed and
     starting at the other end.
     """
-    mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    mult = {(j, i): terms for (i, j), terms in a.mult.items()}
     reps = [ArrowRep(r.name, r.target, r.source, r.vector) for r in a.arrow_reps]
     op = BasedAlgebra(
         a.field, a.vertices, list(a.labels), list(a.target), list(a.source),
@@ -511,7 +507,8 @@ def _normal_forms(f, n, rows):
     Pivoting happens on the latest positions, so earlier positions survive
     as representatives.  Returns (surviving positions, reduce), where
     reduce(terms) takes sparse (position, coefficient) terms and returns the
-    dense vector of their class over the surviving positions.
+    nonzero terms of their class, indexed by the surviving positions in
+    order.
     """
     z = f.zero()
     rev = list(range(n - 1, -1, -1))
@@ -526,14 +523,11 @@ def _normal_forms(f, n, rows):
     pos = {k: i for i, k in enumerate(surviving)}
 
     def reduce(terms):
-        out = [z] * len(surviving)
+        out = {}
         for k, c in terms:
-            if k in pos:
-                out[pos[k]] = f.add(out[pos[k]], c)
-            else:
-                for k2, c2 in rewrite[k]:
-                    out[pos[k2]] = f.add(out[pos[k2]], f.mul(c, c2))
-        return out
+            for k2, c2 in rewrite.get(k, ((k, f.one()),)):
+                out[pos[k2]] = f.add(out.get(pos[k2], z), f.mul(c, c2))
+        return tuple((i, x) for i, x in sorted(out.items()) if x)
 
     return surviving, reduce
 
@@ -545,7 +539,6 @@ def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
     (idempotents, then earlier radical elements) survive as representatives.
     """
     f = a.field
-    z = f.zero()
     if not ideal.basis:
         return a
     surviving, reduce = _normal_forms(f, a.dim, ideal.basis)
@@ -570,10 +563,12 @@ def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
         target.append(vmap[a.target[k]])
     idempotents = [surv_pos[a.idempotents[vi]] for vi in keep_vertices]
     radical = [surv_pos[k] for k in a.radical if k in surv_pos]
-    mult = [
-        [reduce([(k, c) for k, c in enumerate(a.mult[i][j]) if c != z]) for j in surviving]
-        for i in surviving
-    ]
+    mult = {}
+    for (i, j), terms in a.mult.items():
+        if i in surv_pos and j in surv_pos:
+            reduced = reduce(terms)
+            if reduced:
+                mult[(surv_pos[i], surv_pos[j])] = reduced
     out = BasedAlgebra(
         f, vertices, labels, source, target, idempotents, radical, mult,
         arrow_reps=[], parent=a, parent_basis=list(surviving), ideal=ideal,
@@ -583,14 +578,17 @@ def quotient_algebra(a: BasedAlgebra, ideal: Ideal) -> BasedAlgebra:
 
 
 def quotient_by_vertex(a: BasedAlgebra, x) -> BasedAlgebra:
-    """Quotient by the two-sided ideal generated by the idempotent at x."""
+    """Quotient by the two-sided ideal A e_x A generated by the idempotent
+    at x.  A basis is graded, so A e_x A is spanned by the products b_i b_j
+    with target(b_i) = x = source(b_j); `two_sided_ideal` is its check."""
     if x not in a.vertices:
         raise BuildError(f"unknown vertex {x!r}")
     if len(a.vertices) == 1:
         raise BuildError("quotient by the only vertex is the zero algebra")
-    e = a.idempotents[a.vertex_index(x)]
-    ideal = two_sided_ideal(a, [a.unit(e)])
-    return quotient_algebra(a, ideal)
+    xi = a.vertex_index(x)
+    products = [a.mul_vec(a.unit(i), a.unit(j)) for i in range(a.dim) if a.target[i] == xi
+                for j in range(a.dim) if a.source[j] == xi]
+    return quotient_algebra(a, Ideal(a, echelon(a.field, products, a.dim)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +598,11 @@ def quotient_by_vertex(a: BasedAlgebra, x) -> BasedAlgebra:
 def check_associativity(a: BasedAlgebra) -> bool:
     """(b_i b_j) b_k == b_i (b_j b_k) on all basis triples."""
     n = a.dim
+    prod = [[a.mul_vec(a.unit(i), a.unit(j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            ij = a.mult[i][j]
             for k in range(n):
-                lhs = a.mul_vec(ij, a.unit(k))
-                rhs = a.mul_vec(a.unit(i), a.mult[j][k])
-                if lhs != rhs:
+                if a.mul_vec(prod[i][j], a.unit(k)) != a.mul_vec(a.unit(i), prod[j][k]):
                     return False
     return True
 
@@ -616,7 +612,7 @@ def check_idempotents(a: BasedAlgebra) -> bool:
     z, one = f.zero(), f.one()
     for vi, e in enumerate(a.idempotents):
         for wj, e2 in enumerate(a.idempotents):
-            prod = a.mult[e][e2]
+            prod = a.mul_vec(a.unit(e), a.unit(e2))
             expect = a.unit(e) if vi == wj else [z] * a.dim
             if prod != expect:
                 return False
@@ -628,7 +624,8 @@ def check_idempotents(a: BasedAlgebra) -> bool:
             return False
         es = a.idempotents[a.source[k]]
         et = a.idempotents[a.target[k]]
-        if a.mult[es][k] != a.unit(k) or a.mult[k][et] != a.unit(k):
+        if (a.mul_vec(a.unit(es), a.unit(k)) != a.unit(k)
+                or a.mul_vec(a.unit(k), a.unit(et)) != a.unit(k)):
             return False
     return True
 

@@ -29,7 +29,7 @@ from quiverkit.algebra import (
 )
 from quiverkit.extensions import one_point_extension, relation_extension
 from quiverkit.homology import almost_split_middle, start_resolution, tau, tau_inv
-from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
+from quiverkit.linalg import Matrix, echelon, kernel_basis
 from quiverkit.repmod import (
     Module,
     _indec_iso,
@@ -532,10 +532,7 @@ def tilted_quotient(a: BasedAlgebra, sigma_modules) -> TiltedQuotient:
     ann_vectors = []
     if rows:
         ann_vectors = kernel_basis(Matrix(f, rows, len(rows), a.dim))
-    tracker = SpanTracker(f)
-    for v in ann_vectors:
-        tracker.add(v)
-    ideal = Ideal(a, [list(r) for r in tracker.rows])
+    ideal = Ideal(a, echelon(f, ann_vectors, a.dim)[0])
     if not ideal.is_two_sided():
         raise ARQuiverError("annihilator failed the two-sided check")
     quotient = quotient_algebra(a, ideal) if ideal.basis else a

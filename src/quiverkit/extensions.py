@@ -69,17 +69,17 @@ def _fresh_vertex_id(vertices):
         return f"x{k}"
 
 
-def _padded_base(a: BasedAlgebra, dim):
-    """(mult, arrow_reps) of a, zero-padded to an algebra of dimension dim
-    whose first a.dim basis elements are a's; every product involving a
-    later basis element is zero."""
-    z = a.field.zero()
-    pad = [z] * (dim - a.dim)
-    mult = [[list(a.mult[i][j]) + pad if i < a.dim and j < a.dim else [z] * dim
-             for j in range(dim)] for i in range(dim)]
-    reps = [ArrowRep(r.name, r.source, r.target, tuple(r.vector) + tuple(pad))
+def _padded_reps(a: BasedAlgebra, dim):
+    """a's arrow representatives in an algebra of dimension dim whose first
+    a.dim basis elements are a's."""
+    pad = (a.field.zero(),) * (dim - a.dim)
+    return [ArrowRep(r.name, r.source, r.target, tuple(r.vector) + pad)
             for r in a.arrow_reps]
-    return mult, reps
+
+
+def _column_terms(mat, t, offset):
+    """The nonzero entries of column t of mat, as terms from position offset."""
+    return tuple((offset + u, x) for u, x in enumerate(mat.column(t)) if x)
 
 
 def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
@@ -112,18 +112,19 @@ def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
     radical = list(a.radical) + list(range(na + 1, dim))
 
     z = f.zero()
-    mult, reps = _padded_base(a, dim)
+    reps = _padded_reps(a, dim)
+    # a's products stay; a times the new part is zero
+    mult = dict(a.mult)
     # the new idempotent is a left identity on itself and the m-part
     for k in range(na, dim):
-        mult[na][k] = [f.one() if x == k else z for x in range(dim)]
+        mult[(na, k)] = ((k, f.one()),)
     # a acts on the m-part from the right as on m: m_i . b_j is column i of R_j
     for v in range(nverts):
         for j, r in right_action(m, v).items():
-            w0 = na + 1 + moff[a.target[j]]
             for i in range(m.dims[v]):
-                vec = [z] * dim
-                vec[w0:w0 + r.rows] = r.column(i)
-                mult[na + 1 + moff[v] + i][j] = vec
+                terms = _column_terms(r, i, na + 1 + moff[a.target[j]])
+                if terms:
+                    mult[(na + 1 + moff[v] + i, j)] = terms
 
     # extension arrows: one per top(m) generator
     new_arrow_slots = top_generator_slots(m)
@@ -307,8 +308,6 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
     na = c.dim
     ne = ext2.dim
     dim = na + ne
-    z = f.zero()
-    zero_vec = [z] * dim
     taken = set(c.labels)
     e_labels = _fresh_names("n", ne, taken)
     labels = list(c.labels) + e_labels
@@ -317,24 +316,19 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
     idempotents = list(c.idempotents)
     radical = list(c.radical) + [na + t for t in range(ne)]
 
-    mult, reps = _padded_base(c, dim)
+    reps = _padded_reps(c, dim)
+    # x . e and e . x are the columns of the actions; E * E = 0
+    mult = dict(c.mult)
     for i in range(na):
         for t in range(ne):
-            vec = list(zero_vec)
-            col = ext2.left[i].column(t)
-            for u, x in enumerate(col):
-                vec[na + u] = x
-            mult[i][na + t] = vec
-            vec = list(zero_vec)
-            col = ext2.right[i].column(t)
-            for u, x in enumerate(col):
-                vec[na + u] = x
-            mult[na + t][i] = vec
-    # E * E = 0: already zero vectors
+            for key, mat in (((i, na + t), ext2.left[i]), ((na + t, i), ext2.right[i])):
+                terms = _column_terms(mat, t, na)
+                if terms:
+                    mult[key] = terms
 
     for t in ext2.arrow_positions():
         i, j = ext2.blocks[t]
-        vec = list(zero_vec)
+        vec = [f.zero()] * dim
         vec[na + t] = f.one()
         reps.append(ArrowRep(e_labels[t], i, j, tuple(vec)))
 

@@ -251,7 +251,7 @@ def transpose(m: Module, res: Resolution = None) -> Module:
     gen_images = [[x for part in parts for x in part[alpha]]
                   for alpha in range(len(p0.verts))]
     g = psum_map(q0, q1.module, gen_images)
-    coker, _ = cokernel_of(g, label=f"Tr {m.label}")
+    coker = cokernel_of(g, label=f"Tr {m.label}")
     return coker
 
 
@@ -305,7 +305,7 @@ def almost_split_middle(y: Module, ty: Module, res: Resolution) -> Module:
     blocks = [Matrix(f, d.data + x.data, cols=d.cols)
               for d, x in zip(res.diffs[0].blocks, xi.blocks)]
     pushout = ModuleMap(p1.module, direct_sum(a, [p0.module, ty]), blocks)
-    return cokernel_of(pushout, label=f"E({y.label})")[0]
+    return cokernel_of(pushout, label=f"E({y.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ in [0, p) over GF(p).  All results are exact; there are no tolerances
 anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
-elimination serves `rref`, `kernel_basis`, `solve`, `unit_complement` and
-`SpanTracker`.  Its
+elimination serves `rref`, `echelon`, `kernel_basis`, `solve`,
+`unit_complement` and `SpanTracker`.  Its
 single row step, row -= c * pivot_row, visits only the nonzero columns of
 the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
 It tests entries for zero by truth value, so GF(p) entries must stay
@@ -340,6 +340,15 @@ def rref(m: Matrix) -> RrefResult:
     work = [list(row) for row in m.data]
     pivots = _eliminate(work, m.cols, m.field)
     return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), len(pivots), pivots)
+
+
+def echelon(f, vecs, d):
+    """The reduced echelon basis of span(vecs) in k^d, in pivot order, and
+    its pivot columns."""
+    if not vecs:
+        return [], []
+    res = rref(Matrix.wrap(f, vecs, len(vecs), d))
+    return res.reduced.data[:res.rank], res.pivot_columns
 
 
 def kernel_basis(m: Matrix) -> list:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from quiverkit.algebra import BasedAlgebra
 from quiverkit.linalg import (
     Matrix,
+    echelon,
     kernel_basis,
     lincomb,
     matmul,
@@ -151,7 +152,7 @@ def _validate_action(m: Module):
         for i, ri in at_v.items():
             for j, rj in acts[a.target[i]].items():
                 rhs = lincomb(a.field, rj.rows, ri.cols,
-                              [(c, at_v[k]) for k, c in enumerate(a.mult[i][j]) if c])
+                              [(c, at_v[k]) for k, c in a.mult.get((i, j), ())])
                 if matmul(rj, ri) != rhs:
                     raise ModuleError("module action violates the structure constants")
 
@@ -368,14 +369,6 @@ def _unflatten_hom(m, n, flat):
 # submodules, quotients, kernels
 
 
-def _echelon(f, vecs, d):
-    """The reduced echelon basis of span(vecs) in k^d, and its pivot columns."""
-    if not vecs:
-        return [], []
-    res = rref(Matrix(f, vecs, len(vecs), d))
-    return res.reduced.data[:res.rank], res.pivot_columns
-
-
 def submodule_from_spans(m: Module, spans, label="U"):
     """Module on the given per-vertex spanning vectors, with the inclusion.
 
@@ -386,7 +379,7 @@ def submodule_from_spans(m: Module, spans, label="U"):
     """
     a = m.algebra
     f = a.field
-    echelons = [_echelon(f, spans[v], d) for v, d in enumerate(m.dims)]
+    echelons = [echelon(f, spans[v], d) for v, d in enumerate(m.dims)]
     dims = [len(rows) for rows, _ in echelons]
     incl_blocks = [Matrix.from_columns(f, rows, d) for (rows, _), d in zip(echelons, m.dims)]
     mats = {}
@@ -414,7 +407,7 @@ def quotient_module(m: Module, spans, label="Q"):
     z = f.zero()
     free, proj_blocks = [], []
     for v, d in enumerate(m.dims):
-        rows, pivots = _echelon(f, spans[v], d)
+        rows, pivots = echelon(f, spans[v], d)
         row_at = dict(zip(pivots, rows))
         free.append([c for c in range(d) if c not in row_at])
         # column c is the class of the unit vector at c
@@ -428,8 +421,7 @@ def quotient_module(m: Module, spans, label="Q"):
         section = Matrix.wrap(f, [[row[c] for c in free[src]] for row in A.data],
                               A.rows, len(free[src]))
         mats[rep.name] = matmul(proj_blocks[tgt], section)
-    quot = Module(a, [len(fr) for fr in free], mats, label=label)
-    return quot, ModuleMap(m, quot, proj_blocks)
+    return Module(a, [len(fr) for fr in free], mats, label=label)
 
 
 def kernel_of(fmap: ModuleMap, label="ker"):
@@ -470,8 +462,7 @@ def radical_of(m: Module) -> Module:
 
 
 def top_of(m: Module) -> Module:
-    quot, _ = quotient_module(m, radical_spans(m), label=f"top {m.label}")
-    return quot
+    return quotient_module(m, radical_spans(m), label=f"top {m.label}")
 
 
 def socle_spans(m: Module):
@@ -497,25 +488,28 @@ def socle_of(m: Module) -> Module:
 
 
 def socle_quotient(m: Module) -> Module:
-    quot, _ = quotient_module(m, socle_spans(m), label=f"{m.label}/soc")
-    return quot
+    return quotient_module(m, socle_spans(m), label=f"{m.label}/soc")
 
 
 def loewy_label(m: Module) -> str:
-    """Radical-layer label such as "1/2 3/4" (top layer first)."""
+    """Radical-layer label such as "1/2 3/4" (top layer first).
+
+    M.rad^(k+1) is spanned by the arrow images of M.rad^k, so each layer is
+    the echelon basis of the previous layer's images; no submodule is built.
+    """
     if m.is_zero():
         return "0"
     a = m.algebra
     layers = []
-    cur = m
-    while not cur.is_zero():
-        nxt = radical_of(cur)
-        content = [cur.dims[v] - nxt.dims[v] for v in range(len(cur.dims))]
-        parts = []
-        for v, c in enumerate(content):
-            parts.extend([str(a.vertices[v])] * c)
-        layers.append(" ".join(parts))
-        cur = nxt
+    layer = [Matrix.identity(a.field, d).data for d in m.dims]
+    while any(layer):
+        images = [[] for _ in m.dims]
+        for rep in a.arrow_reps:
+            images[rep.target].extend(map(m.mats[rep.name].apply, layer[rep.source]))
+        nxt = [echelon(a.field, vecs, d)[0] for vecs, d in zip(images, m.dims)]
+        layers.append(" ".join(str(a.vertices[v]) for v in range(len(m.dims))
+                               for _ in range(len(layer[v]) - len(nxt[v]))))
+        layer = nxt
     return "/".join(layers)
 
 

@@ -15,7 +15,14 @@ from quiverkit.algebra import (
     two_sided_ideal,
 )
 from quiverkit.corpus import load_fixture
+from quiverkit.extensions import (
+    one_point_coextension,
+    one_point_extension,
+    relation_extension,
+)
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
+from quiverkit.repmod import direct_sum, projective, simple
+from test_repmod import _fixture_over
 
 
 def test_a2_dimension(alg_a2):
@@ -112,12 +119,53 @@ def test_quotient_bprime_recovers_square(alg_bprime, alg_b):
             == gabriel_quiver(alg_b).count_matrix()).all()
 
 
-def test_quotient_dimension_matches_ideal(alg_bprime):
-    e5 = alg_bprime.idempotents[alg_bprime.vertex_index("5")]
-    ideal = two_sided_ideal(alg_bprime, [alg_bprime.unit(e5)])
-    q = quotient_by_vertex(alg_bprime, "5")
-    assert q.dim == alg_bprime.dim - ideal.dim
-    assert ideal.is_two_sided()
+FIXTURES = ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
+            "d5_clustertilted.q", "a31_clustertilted.q", "a31_onepoint_ext.q"]
+FIELDS = ["rational", "gf(32003)", "gf(3)", "gf(7)"]
+
+
+def test_quotient_dimension_matches_ideal():
+    # the span of the products through x is the saturated ideal A e_x A, at
+    # every vertex of the fixtures and of their one-point extensions by P(v)
+    for field in FIELDS:
+        for name in FIXTURES:
+            a = _fixture_over(name, field)
+            for alg in [a] + [one_point_extension(a, projective(a, v)) for v in a.vertices]:
+                for x in alg.vertices:
+                    e = alg.idempotents[alg.vertex_index(x)]
+                    ideal = two_sided_ideal(alg, [alg.unit(e)])
+                    q = quotient_by_vertex(alg, x)
+                    assert sorted(q.ideal.basis) == sorted(ideal.basis)
+                    assert q.dim == alg.dim - ideal.dim
+                    assert ideal.is_two_sided()
+
+
+def _assert_sparse_graded_table(a):
+    f = a.field
+    dense = [[[f.zero()] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
+    for (i, j), terms in a.mult.items():
+        assert a.target[i] == a.source[j]
+        assert terms and [k for k, _ in terms] == sorted({k for k, _ in terms})
+        for k, c in terms:
+            assert c and (a.source[k], a.target[k]) == (a.source[i], a.target[j])
+            dense[i][j][k] = c
+    assert a.to_json()["multiplication"] == [
+        [[f.scalar_to_str(c) for c in prod] for prod in row] for row in dense]
+
+
+def test_structure_constants_are_sparse_and_graded(alg_c):
+    algebras = []
+    for field in ("rational", "gf(3)"):
+        for name in FIXTURES:
+            a = _fixture_over(name, field)
+            s = simple(a, a.vertices[0])
+            algebras += [a, quotient_by_vertex(a, a.vertices[-1]), a.opposite(),
+                         one_point_extension(a, s), one_point_coextension(a, s)]
+    p = direct_sum(alg_c, [projective(alg_c, v) for v in "123"])
+    algebras += [relation_extension(alg_c),
+                 relation_extension(one_point_extension(alg_c, p))]
+    for a in algebras:
+        _assert_sparse_graded_table(a)
 
 
 def test_opposite_involution(alg_b):

@@ -60,7 +60,7 @@ def _brute_force_indecomposables(a):
             for n in list(nodes):
                 for h in hom_basis(m, n):
                     ker, _ = kernel_of(h)
-                    coker, _ = cokernel_of(h)
+                    coker = cokernel_of(h)
                     add(ker)
                     add(coker)
         if len(nodes) == before:

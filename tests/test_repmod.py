@@ -483,26 +483,28 @@ def test_module_json_validates_structure_constants(alg_b):
         module_from_json(ext, data)
 
 
-def test_opposite_expressions_multiply_out(alg_b, alg_bprime):
+def test_opposite_expressions_multiply_out(alg_b, alg_bprime, alg_c):
+    # each algebra's own expressions and those of its opposite
     from quiverkit.algebra import quotient_by_vertex
-    from quiverkit.extensions import one_point_extension
+    from quiverkit.extensions import one_point_extension, relation_extension
     algebras = [_fixture_over(name, field) for name in FINITE_FIXTURES
                 for field in ("rational", "gf(3)")]
     algebras += [quotient_by_vertex(alg_bprime, "5"),
                  one_point_extension(alg_b, simple(alg_b, "2")),
+                 relation_extension(alg_c),
                  _rebased_arrows(alg_b), _three_vertex_rebased("rational"),
                  _three_vertex_rebased("gf(3)")]
-    for a in algebras:
-        op = a.opposite()
-        f = op.field
-        for k, terms in enumerate(op.basis_expressions()):
-            acc = [f.zero()] * op.dim
-            for coeff, v0, word in terms:
-                x = op.unit(op.idempotents[v0])
-                for ai in word:
-                    x = op.mul_vec(x, list(op.arrow_reps[ai].vector))
-                acc = [f.add(y, f.mul(coeff, w)) for y, w in zip(acc, x)]
-            assert acc == op.unit(k)
+    for alg in algebras:
+        for a in (alg, alg.opposite()):
+            f = a.field
+            for k, terms in enumerate(a.basis_expressions()):
+                acc = [f.zero()] * a.dim
+                for coeff, v0, word in terms:
+                    x = a.unit(a.idempotents[v0])
+                    for ai in word:
+                        x = a.mul_vec(x, list(a.arrow_reps[ai].vector))
+                    acc = [f.add(y, f.mul(coeff, w)) for y, w in zip(acc, x)]
+                assert acc == a.unit(k)
 
 
 def test_restriction_refuses_modules_the_ideal_does_not_annihilate():

@@ -90,7 +90,7 @@ def _modules(fixture):
         for y in few:
             for h in hom_basis(x, y):
                 yield kernel_of(h)[0]
-                yield cokernel_of(h)[0]
+                yield cokernel_of(h)
 
 
 @pytest.mark.parametrize("fixture", FINITE_FIXTURES)
