@@ -6,10 +6,9 @@
 * the bimodule of degree-2 self-extensions Ext^2(D A, A) with its exact
   left and right actions: its blocks Ext^2(I(j), P(i)) are read from
   `homology.ext_group` over minimal resolutions of the indecomposable
-  injectives, and each action's image is reduced by that block's `classes`;
-  its multiplication maps b . - : P(t) -> P(s) and D(- . b) : I(t) -> I(s),
-  for b from s to t, are at each vertex v the transposed actions
-  (`repmod.right_action`) of b on I(v) and on P(v);
+  injectives; the actions of the arrow representatives are computed in
+  generator coordinates, one chain lift per arrow, and every basis element
+  acts through the arrow words of its basis expression (`ext2_bimodule`);
 * the trivial (relation) extension A x Ext^2(D A, A) for algebras of
   global dimension at most 2;
 * an instance checker for commutation of the two constructions along a
@@ -19,6 +18,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from quiverkit.algebra import (
     ArrowRep,
@@ -27,7 +27,13 @@ from quiverkit.algebra import (
     gabriel_quiver,
     opposite_algebra,
 )
-from quiverkit.homology import ext_group, global_dim, lift_chain_map, min_resolution
+from quiverkit.homology import (
+    ext_group,
+    global_dim,
+    hom_matrix,
+    lift_chain_map,
+    min_resolution,
+)
 from quiverkit.linalg import Matrix, unit_complement
 from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
@@ -216,12 +222,20 @@ def _act(mats, algebra_vec, evec):
 def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     """Ext^2(D C, C) with its bimodule structure (global dimension <= 2).
 
-    The left action post-composes cocycles with left-multiplication maps
-    between projectives; the right action precomposes with deterministic
-    chain lifts of the dualised right-multiplication maps on injectives.
-    At each vertex v, b_k . - : P(t) -> P(s) is the transposed action of b_k
-    on I(v), and D(- . b_k) : I(t) -> I(s) the transposed action of b_k on
-    P(v), for b_k from s to t.
+    The actions are built for each arrow representative rho, from s to t.
+    Its left action post-composes cocycles with rho . - : P(t) -> P(s),
+    whose block at a generator's vertex is applied to the generator's
+    image.  Its right action precomposes with the degree-2 map of one chain
+    lift of D(- . rho) : I(t) -> I(s), as that map's `hom_matrix`.  At each
+    vertex v, rho . - is the transposed action of rho on I(v), and
+    D(- . rho) the transposed action of rho on P(v).  The images that land
+    in one block are reduced together by its `ExtGroup.classes_of`.
+
+    The arrows' actions make each row e_i E a right C-module and each column
+    E e_j a right module over the opposite algebra, and every basis element
+    b acts on them as on any module, by `right_action`: through the arrow
+    words of b's basis expression, left(b) = L(rho_1)...L(rho_n) and
+    right(b) = R(rho_n)...R(rho_1), each word prefix once.
     """
     gd = global_dim(c, cap=3)
     if gd is None or gd > 2:
@@ -237,59 +251,66 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
             raise ExtensionError("resolution longer than the global dimension bound")
 
     blocks = {}
-    basis = []  # (i, j, position within block)
+    start = {}  # block -> position of its first basis vector
+    block_of = []
     for j in range(nverts):
         for i in range(nverts):
             blocks[(i, j)] = ext_group(injs[j], projs[i], 2, resolutions[j])
-            for t in range(len(blocks[(i, j)].reps)):
-                basis.append((i, j, t))
+            start[(i, j)] = len(block_of)
+            block_of += [(i, j)] * len(blocks[(i, j)].cocycles)
+    dimE = len(block_of)
 
-    dimE = len(basis)
-    pos_of = {}
-    for pos, (i, j, t) in enumerate(basis):
-        pos_of[(i, j, t)] = pos
+    def action(source, target, images):
+        """The block source -> target of an arrow's action, from the images
+        of the cocycles of source."""
+        return Matrix.from_columns(f, blocks[target].classes_of(images),
+                                   len(blocks[target].cocycles))
 
-    on_inj = [[right_action(injs[v], s) for s in range(nverts)] for v in range(nverts)]
-    on_proj = [[right_action(projs[v], s) for s in range(nverts)] for v in range(nverts)]
-    left_mats = []
-    right_mats = []
-    for k in range(c.dim):
-        s, t = c.source[k], c.target[k]
-        lm = Matrix.zeros(f, dimE, dimE)
-        if dimE:
-            lam = ModuleMap(projs[t], projs[s],
-                            [on_inj[v][s][k].transpose() for v in range(nverts)])
-            for pos, (i, j, u) in enumerate(basis):
-                if i != t:
-                    continue
-                image = lam.compose(blocks[(i, j)].reps[u])  # P2(I(j)) -> P(s)
-                coeffs = blocks[(s, j)].classes(image)
-                for u2, val in enumerate(coeffs):
-                    if val != f.zero():
-                        lm.data[pos_of[(s, j, u2)]][pos] = val
-        left_mats.append(lm)
+    columns = [{} for _ in range(nverts)]  # E e_j: arrow name -> L(rho) on it
+    rows = [{} for _ in range(nverts)]     # e_i E: arrow name -> R(rho) on it
+    for rep in c.arrow_reps:
+        s, t = rep.source, rep.target
+        lam = [m.mats[rep.name].transpose() for m in injs]  # rho . - : P(t) -> P(s)
+        for j in range(nverts):
+            src = blocks[(t, j)]
+            if src.cocycles:
+                ends = list(accumulate((projs[t].dims[v] for v in src.term.verts), initial=0))
+                columns[j][rep.name] = action((t, j), (s, j), [
+                    [y for v, a, b in zip(src.term.verts, ends, ends[1:])
+                     for y in lam[v].apply(coords[a:b])] for coords in src.cocycles])
+        p2 = resolutions[t].term_module(2)
+        if not dimE or p2 is None or p2.is_zero():
+            continue
+        mu = ModuleMap(injs[t], injs[s], [m.mats[rep.name].transpose() for m in projs])
+        lam2 = lift_chain_map(mu, resolutions[t], resolutions[s], 2)[2]
+        if lam2 is None:
+            continue
+        for i in range(nverts):
+            src = blocks[(i, s)]
+            if src.cocycles:
+                h = hom_matrix(lam2, resolutions[t].terms[2], src.term, projs[i])
+                rows[i][rep.name] = action((i, s), (i, t), [h.apply(x) for x in src.cocycles])
 
-        rm = Matrix.zeros(f, dimE, dimE)
-        if dimE:
-            mu = ModuleMap(injs[t], injs[s],
-                           [on_proj[v][s][k].transpose() for v in range(nverts)])
-            p2_src = resolutions[t].term_module(2)
-            if p2_src is not None and not p2_src.is_zero():
-                lifts = lift_chain_map(mu, resolutions[t], resolutions[s], 2)
-                lam2 = lifts[2]
-            else:
-                lam2 = None
-            for pos, (i, j, u) in enumerate(basis):
-                if j != s or lam2 is None:
-                    continue
-                image = blocks[(i, j)].reps[u].compose(lam2)  # P2(I(t)) -> P(i)
-                coeffs = blocks[(i, t)].classes(image)
-                for u2, val in enumerate(coeffs):
-                    if val != f.zero():
-                        rm.data[pos_of[(i, t, u2)]][pos] = val
-        right_mats.append(rm)
+    left = [Matrix.zeros(f, dimE, dimE) for _ in range(c.dim)]
+    right = [Matrix.zeros(f, dimE, dimE) for _ in range(c.dim)]
+    op = c.opposite()
+    for j in range(nverts):
+        col = Module(op, [len(blocks[(i, j)].cocycles) for i in range(nverts)], columns[j])
+        for v in range(nverts):
+            for k, mat in right_action(col, v).items():  # (v, j) -> (source(b_k), j)
+                _place(left[k], mat, start[(c.source[k], j)], start[(v, j)])
+    for i in range(nverts):
+        row = Module(c, [len(blocks[(i, j)].cocycles) for j in range(nverts)], rows[i])
+        for v in range(nverts):
+            for k, mat in right_action(row, v).items():  # (i, v) -> (i, target(b_k))
+                _place(right[k], mat, start[(i, c.target[k])], start[(i, v)])
+    return Bimodule(c, block_of, left, right)
 
-    return Bimodule(c, [(i, j) for (i, j, _) in basis], left_mats, right_mats)
+
+def _place(big, mat, row, col):
+    """Write mat into big with its top left entry at (row, col)."""
+    for big_row, mat_row in zip(big.data[row:], mat.data):
+        big_row[col:col + mat.cols] = mat_row
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,33 @@ computations over the opposite algebra.  Resolutions are cached per
 (algebra, module) key; a cache hit is indistinguishable from recomputing.
 
 Ext in each degree k >= 1 is one `ExtGroup`: the term P_k, cocycle
-representatives of a basis, and `classes`, the coordinates of any
-cocycle's class over them.  `ext_dim`, the almost split class and the
-Ext^2 bimodule of `extensions` all read their classes from it.
+representatives of a basis in generator coordinates (and, on demand, as
+maps), and the coordinates of any cocycle's class over them: `classes_of`
+reads many cocycles given in generator coordinates with one elimination,
+and `classes` reads one cocycle given as a map.  `ext_dim`, the almost
+split class and the Ext^2 bimodule of `extensions` all read their classes
+from it.
 
 A map out of a resolution term, a sum of projectives e_v A, is handled by
 its generator images: Hom(e_v A, N) = N e_v, so chain lifts and the
 transpose are read from or built out of those images
 (`ProjectiveSum.generator_images`, `ProjectiveSum.parts`, `psum_map`), with
-no Hom system to solve.  Precomposition with a differential is linear in
-them: `hom_matrix` is Hom(d, N) in generator coordinates, and Ext cocycles
-and coboundaries are its kernel and its columns.  `hom_basis` serves Ext^0
+no Hom system to solve.  A chain lift reads the generator images of each
+composite it lifts without composing maps, and solves for all generators at
+one vertex with one elimination.  Precomposition with a differential is
+linear in them: `hom_matrix` is Hom(d, N) in generator coordinates, and Ext
+cocycles and coboundaries are its kernel and its columns.  `hom_basis` serves Ext^0
 and End(tau Y) only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve_many
 from quiverkit.repmod import (
     Module,
     ModuleMap,
@@ -170,13 +176,29 @@ class ExtGroup:
     the columns of `hom_matrix`(d_k).  term is P_k (None past the
     resolution's end) and reps are the cocycles of the kernel basis that
     complete the coboundaries: their classes are a basis of Ext^k.
+    `classes_of` reads the classes of many cocycles, given in generator
+    coordinates, at once; `classes` reads one cocycle given as a map.
     """
 
     term: object
     target: Module
-    reps: list
-    _basis: Matrix  # columns: independent coboundaries, then reps
+    cocycles: list  # the generator coordinates of reps
+    _basis: Matrix  # columns: independent coboundaries, then cocycles
     _n_boundary: int
+
+    @cached_property
+    def reps(self):
+        """The cocycles as maps P_k -> N."""
+        return [self.term.map_with_coordinates(self.target, v) for v in self.cocycles]
+
+    def classes_of(self, images):
+        """The coordinates over reps of the classes of the cocycles P_k -> N
+        whose generator coordinates are images, from one elimination of
+        [_basis | images]."""
+        sol = solve_many(self._basis, images)
+        if sol is None:
+            raise HomologyError("not a cocycle out of the resolution term")
+        return [x[self._n_boundary:] for x in sol]
 
     def classes(self, cocycle: ModuleMap):
         """The coordinates over reps of the class of a cocycle P_k -> N."""
@@ -184,10 +206,9 @@ class ExtGroup:
         if (self.term is not None and cocycle.source.dims == self.term.module.dims
                 and cocycle.target.dims == self.target.dims):
             coords = self.term.coordinates(cocycle)
-        sol = None if coords is None else solve(self._basis, coords)
-        if sol is None:
+        if coords is None:
             raise HomologyError("not a cocycle out of the resolution term")
-        return sol[self._n_boundary:]
+        return self.classes_of([coords])[0]
 
 
 def ext_group(m: Module, n: Module, k: int, resolution: Resolution = None) -> ExtGroup:
@@ -210,8 +231,7 @@ def ext_group(m: Module, n: Module, k: int, resolution: Resolution = None) -> Ex
     bnd = hom_matrix(res.diffs[k - 1], pk, res.terms[k - 1], n)
     boundaries = [v for v in map(bnd.column, range(bnd.cols)) if tracker.add(v)]
     reps = [v for v in cocycles if tracker.add(v)]
-    return ExtGroup(pk, n, [pk.map_with_coordinates(n, v) for v in reps],
-                    Matrix.from_columns(f, boundaries + reps, nh), len(boundaries))
+    return ExtGroup(pk, n, reps, Matrix.from_columns(f, boundaries + reps, nh), len(boundaries))
 
 
 def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
@@ -319,6 +339,8 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
     a summand at vertex v, the rref particular solution x (free coordinates
     zero) of post_v x = want, where want is the generator's image under the
     map to be lifted and post is the target's augmentation or differential.
+    The generators at one vertex are solved together, by one `solve_many`
+    of [post_v | wants].
     """
     f = g.source.algebra.field
     lifts = []
@@ -331,33 +353,35 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             prev = None
             continue
         if k == 0:
-            target_map = g.compose(res_src.aug)
-            post = res_tgt.aug
+            first, outer, post = res_src.aug, g, res_tgt.aug
         else:
-            # None when the previous lift was forced zero, as is this one
-            target_map = None if prev is None else prev.compose(res_src.diffs[k - 1])
+            first, outer = res_src.diffs[k - 1], prev
             post = res_tgt.diffs[k - 1] if k - 1 < len(res_tgt.diffs) else None
+        # the generator images of outer o first, read without composing; None
+        # when the previous lift was forced zero, as is this one
+        wants = None if outer is None else [
+            outer.blocks[v].apply(x) for v, x in zip(pk_s.verts, pk_s.generator_images(first))]
         if pk_t is None or pk_t.module.is_zero():
             # exactness of the shorter target resolution forces the
             # composite to vanish, so the zero component lifts
-            if target_map is not None and any(
-                x != f.zero() for x in target_map.flatten()
-            ):
+            if wants is not None and any(map(any, wants)):
                 raise HomologyError("cannot lift through a shorter resolution")
             lifts.append(None)
             prev = None
             continue
-        if target_map is None:
+        if wants is None:
             images = [[f.zero()] * pk_t.module.dims[v] for v in pk_s.verts]
         elif post is None:
             raise HomologyError("missing differential in the target resolution")
         else:
-            images = []
-            for v, want in zip(pk_s.verts, pk_s.generator_images(target_map)):
-                x = solve(post.blocks[v], want)
-                if x is None:
+            images = [None] * len(wants)
+            for v in sorted(set(pk_s.verts)):
+                at_v = [c for c, w in enumerate(pk_s.verts) if w == v]
+                xs = solve_many(post.blocks[v], [wants[c] for c in at_v])
+                if xs is None:
                     raise HomologyError("lifting system is infeasible")
-                images.append(x)
+                for c, x in zip(at_v, xs):
+                    images[c] = x
         prev = psum_map(pk_s, pk_t.module, images)
         lifts.append(prev)
     return lifts

@@ -5,8 +5,8 @@ in [0, p) over GF(p).  All results are exact; there are no tolerances
 anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
-elimination serves `rref`, `echelon`, `kernel_basis`, `solve`,
-`unit_complement` and `SpanTracker`.  Its
+elimination serves `rref`, `echelon`, `kernel_basis`, `solve_many` (with
+`solve` its one-column case), `unit_complement` and `SpanTracker`.  Its
 single row step, row -= c * pivot_row, visits only the nonzero columns of
 the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
 It tests entries for zero by truth value, so GF(p) entries must stay
@@ -378,20 +378,32 @@ def kernel_basis(m: Matrix) -> list:
     return basis
 
 
-def solve(m: Matrix, b: list):
-    """A solution x of m @ x = b with free variables set to 0, or None."""
-    if len(b) != m.rows:
+def solve_many(m: Matrix, bs):
+    """Solutions x_c of m @ x_c = b_c, one per right-hand side b_c of bs,
+    with free variables set to 0, from one rref of [m | bs]; None when any
+    b_c is outside the column span of m."""
+    if any(len(b) != m.rows for b in bs):
         raise LinalgError("right-hand side length mismatch")
     f = m.field
-    aug = Matrix.wrap(f, [m.data[i] + [b[i]] for i in range(m.rows)], m.rows, m.cols + 1)
+    n = m.cols
+    aug = Matrix.wrap(f, [m.data[i] + [b[i] for b in bs] for i in range(m.rows)],
+                      m.rows, n + len(bs))
     res = rref(aug)
-    if m.cols in res.pivot_columns:
+    if res.pivot_columns and res.pivot_columns[-1] >= n:
         return None
     z = f.zero()
-    x = [z] * m.cols
-    for r, pc in enumerate(res.pivot_columns):
-        x[pc] = res.reduced.data[r][m.cols]
-    return x
+    out = [[z] * n for _ in bs]
+    for row, pc in zip(res.reduced.data, res.pivot_columns):
+        for x, rhs in zip(out, row[n:]):
+            x[pc] = rhs
+    return out
+
+
+def solve(m: Matrix, b: list):
+    """A solution x of m @ x = b with free variables set to 0, or None: the
+    one-column case of `solve_many`."""
+    sol = solve_many(m, [b])
+    return None if sol is None else sol[0]
 
 
 def unit_complement(f, vecs, n):

@@ -612,19 +612,20 @@ def right_multiples(m: Module, v, vec):
     reps = a.arrow_reps
     exprs = a.basis_expressions()
     images = {(): list(vec)}  # arrow word -> image of vec
-
-    def image(word):
-        if word not in images:
-            images[word] = m.mats[reps[word[-1]].name].apply(image(word[:-1]))
-        return images[word]
-
     out = {}
     for k in range(a.dim):
         if a.source[k] != v:
             continue
         acc = [z] * m.dims[a.target[k]]
         for coeff, _, word in exprs[k]:
-            for i, x in enumerate(image(word)):
+            if word not in images:
+                # a loop, not a recursive closure: a closure that calls
+                # itself is a reference cycle that outlives every call
+                for n in range(1, len(word) + 1):
+                    if word[:n] not in images:
+                        images[word[:n]] = m.mats[reps[word[n - 1]].name].apply(
+                            images[word[:n - 1]])
+            for i, x in enumerate(images[word]):
                 if x != z:
                     acc[i] = f.add(acc[i], f.mul(coeff, x))
         out[k] = acc

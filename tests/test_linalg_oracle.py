@@ -2,8 +2,8 @@
 
 Random dense, sparse, tall and low-rank matrices over Q, GF(7) and
 GF(32003).  The reduced row-echelon form is unique, so `rref` must agree
-with sympy entry by entry; the kernel, `solve` and `SpanTracker` are checked
-against sympy's rank.
+with sympy entry by entry; the kernel, `solve`, `solve_many` and
+`SpanTracker` are checked against sympy's rank.
 """
 
 from fractions import Fraction
@@ -21,6 +21,7 @@ from quiverkit.linalg import (
     kernel_basis,
     rref,
     solve,
+    solve_many,
 )
 
 FIELDS = [RationalField(), PrimeField(7), PrimeField(32003)]
@@ -140,6 +141,31 @@ def test_solve_consistent_with_sympy(field, data):
         assert sol is None
     else:
         assert sol is not None and m.apply(sol) == b
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_solve_many_is_solve_per_column(field, data):
+    rows = data.draw(matrices(field))
+    m = Matrix(field, rows)
+    bs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(_scalars(field), min_size=m.cols, max_size=m.cols))
+            bs.append([row[0] for row in _product(field, rows, [[e] for e in x])])
+        else:
+            bs.append(data.draw(st.lists(_scalars(field), min_size=m.rows, max_size=m.rows)))
+    rank = _sympy_rank(field, rows, m.cols)
+    inconsistent = any(
+        _sympy_rank(field, [row + [e] for row, e in zip(rows, b)], m.cols + 1) > rank
+        for b in bs)
+    sols = solve_many(m, bs)
+    if inconsistent:
+        assert sols is None
+    else:
+        assert sols == [solve(m, b) for b in bs]
+        assert all(m.apply(x) == b for x, b in zip(sols, bs))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
