@@ -163,7 +163,7 @@ def _compute_expressions(a: BasedAlgebra):
         for (v0, word), vec in frontier:
             for ai, rep in enumerate(a.arrow_reps):
                 w = a.mul_vec(vec, list(rep.vector))
-                if any(x != f.zero() for x in w) and tracker.add(w):
+                if any(w) and tracker.add(w):
                     item = ((v0, word + (ai,)), w)
                     kept.append(item)
                     nxt.append(item)
@@ -518,7 +518,7 @@ def _normal_forms(f, n, rows):
     rewrite = {}
     for r, c in enumerate(res.pivot_columns):
         rewrite[rev[c]] = [(rev[c2], f.neg(x))
-                           for c2, x in enumerate(res.reduced.data[r]) if c2 > c and x != z]
+                           for c2, x in enumerate(res.reduced.data[r]) if c2 > c and x]
     surviving = [k for k in range(n) if k not in rewrite]
     pos = {k: i for i, k in enumerate(surviving)}
 

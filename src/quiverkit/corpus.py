@@ -106,7 +106,7 @@ def _chk_linalg(ctx):
     res = rref(m)
     ok = res.rank == 1 and res.pivot_columns == [0]
     ker = kernel_basis(m)
-    ok = ok and len(ker) == 1 and all(x == 0 for x in m.apply(ker[0]))
+    ok = ok and len(ker) == 1 and not any(m.apply(ker[0]))
     q = RationalField()
     x = solve(Matrix.from_int_rows(q, [[1, 1], [0, 1]]), [q.from_int(3), q.from_int(1)])
     ok = ok and x == [q.from_int(2), q.from_int(1)]

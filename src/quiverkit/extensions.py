@@ -212,7 +212,7 @@ def _act(mats, algebra_vec, evec):
     f = mats[0].field
     out = [f.zero()] * len(evec)
     for k, c in enumerate(algebra_vec):
-        if c == f.zero():
+        if not c:
             continue
         img = mats[k].apply(evec)
         out = [f.add(x, f.mul(c, y)) for x, y in zip(out, img)]

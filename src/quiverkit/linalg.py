@@ -1,8 +1,11 @@
 """Exact dense linear algebra over the rationals or a prime field GF(p).
 
-Scalars are `fractions.Fraction` over the rationals and plain python ints
-in [0, p) over GF(p).  All results are exact; there are no tolerances
-anywhere.
+Scalars over GF(p) are plain python ints in [0, p).  Over the rationals a
+scalar is an int when it is integral and a `fractions.Fraction` otherwise:
+every field operation returns an integral result as its int, so the 0 and
++-1 entries that fill most matrices cost int arithmetic.  Values, hashes,
+truth values and printed forms are those of the Fraction.  All results are
+exact; there are no tolerances anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
 elimination serves `rref`, `echelon`, `kernel_basis`, `solve_many` (with
@@ -11,7 +14,9 @@ single row step, row -= c * pivot_row, visits only the nonzero columns of
 the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
 It tests entries for zero by truth value, so GF(p) entries must stay
 reduced into [0, p): `from_int` and `scalar_from_str` reduce every scalar
-that enters, and the field operations keep it so.
+that enters, and the field operations keep it so.  A block with no rows or
+no columns is never eliminated or multiplied: `matmul`, `rref`, `echelon`
+and `unit_complement` return its result at once.
 
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
 composite "first f, then g" has matrix g @ f.  `lincomb` sums scaled
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 
 class LinalgError(Exception):
@@ -45,29 +51,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _q(x):
+    """A rational scalar in normal form: an integral value as its int."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class RationalField:
-    """The field of rational numbers, scalars are Fraction."""
+    """The field of rational numbers: a scalar is an int when it is
+    integral and a Fraction otherwise."""
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return index(n)
 
     def add(self, x, y):
-        return x + y
+        return _q(x + y)
 
     def sub(self, x, y):
-        return x - y
+        return _q(x - y)
 
     def mul(self, x, y):
-        return x * y
+        return _q(x * y)
 
     def neg(self, x):
         return -x
@@ -75,10 +84,11 @@ class RationalField:
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(x)
+        # +-1, the most common pivot, is its own inverse
+        return _q(x) if x in (1, -1) else _q(Fraction(1, x))
 
     def scalar_from_str(self, s: str):
-        return Fraction(s)
+        return _q(Fraction(s))
 
     def scalar_to_str(self, x) -> str:
         return str(x)
@@ -258,6 +268,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise LinalgError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
     out = Matrix.zeros(f, a.rows, b.cols)
+    if not (a.rows and a.cols and b.cols):
+        return out
     bsupp = [_support(row) for row in b.data]
     for arow, orow in zip(a.data, out.data):
         for x, supp in zip(arow, bsupp):
@@ -338,6 +350,8 @@ def rref(m: Matrix) -> RrefResult:
     The elimination runs on one copy of m's rows, which becomes the result.
     """
     work = [list(row) for row in m.data]
+    if not (m.rows and m.cols):
+        return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), 0, [])
     pivots = _eliminate(work, m.cols, m.field)
     return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), len(pivots), pivots)
 
@@ -345,7 +359,7 @@ def rref(m: Matrix) -> RrefResult:
 def echelon(f, vecs, d):
     """The reduced echelon basis of span(vecs) in k^d, in pivot order, and
     its pivot columns."""
-    if not vecs:
+    if not (vecs and d):
         return [], []
     res = rref(Matrix.wrap(f, vecs, len(vecs), d))
     return res.reduced.data[:res.rank], res.pivot_columns
@@ -372,7 +386,7 @@ def kernel_basis(m: Matrix) -> list:
         v[fc] = f.one()
         for r, pc in enumerate(pivots):
             entry = res.reduced.data[r][fc]
-            if entry != z:
+            if entry:
                 v[pc] = f.neg(entry)
         basis.append(v)
     return basis
@@ -409,6 +423,8 @@ def solve(m: Matrix, b: list):
 def unit_complement(f, vecs, n):
     """The positions, earliest first, whose unit vectors complete span(vecs)
     to k^n: those left free by an rref of vecs with the columns reversed."""
+    if not (vecs and n):
+        return list(range(n))
     pivots = rref(Matrix.wrap(f, [row[::-1] for row in vecs], len(vecs), n)).pivot_columns
     taken = {n - 1 - c for c in pivots}
     return [k for k in range(n) if k not in taken]

@@ -132,7 +132,7 @@ class Module:
                     row = cur.data[i]
                     arow = acc.data[i]
                     for j in range(T):
-                        if row[j] != f.zero():
+                        if row[j]:
                             arow[j] = f.add(arow[j], f.mul(coeff, row[j]))
             out.append(acc)
         self._basis_action = out
@@ -168,9 +168,10 @@ class ModuleMap:
 
     def compose(self, first):
         """self after first (first: X -> source, result: X -> target)."""
-        return ModuleMap(first.source, self.target,
-                         [matmul(self.blocks[v], first.blocks[v])
-                          for v in range(len(self.blocks))])
+        f = self.target.algebra.field
+        return ModuleMap(first.source, self.target, [
+            matmul(g, h) if g.rows and g.cols and h.cols else Matrix.zeros(f, g.rows, h.cols)
+            for g, h in zip(self.blocks, first.blocks)])
 
     def flatten(self):
         out = []
@@ -331,11 +332,11 @@ def hom_basis(m: Module, n: Module):
                 row = [z] * total
                 # + (F_j A)[r, c]
                 for s in range(dj):
-                    if A.data[s][c] != z:
+                    if A.data[s][c]:
                         row[offs[j] + r * dj + s] = f.add(row[offs[j] + r * dj + s], A.data[s][c])
                 # - (B F_i)[r, c]
                 for t in range(ei):
-                    if B.data[r][t] != z:
+                    if B.data[r][t]:
                         idx = offs[i] + t * di + c
                         row[idx] = f.sub(row[idx], B.data[r][t])
                 rows.append(row)
@@ -385,10 +386,12 @@ def submodule_from_spans(m: Module, spans, label="U"):
     mats = {}
     for rep in a.arrow_reps:
         src, tgt = rep.source, rep.target
+        if not (dims[src] and m.dims[tgt]):
+            continue
         img = matmul(m.mats[rep.name], incl_blocks[src])
         pivots = echelons[tgt][1]
         block = Matrix.wrap(f, [img.data[p] for p in pivots], dims[tgt], dims[src])
-        if img.cols and matmul(incl_blocks[tgt], block) != img:
+        if matmul(incl_blocks[tgt], block) != img:
             raise ModuleError("spans not closed under the arrow actions")
         mats[rep.name] = block
     sub = Module(a, dims, mats, label=label)
@@ -417,6 +420,8 @@ def quotient_module(m: Module, spans, label="Q"):
     mats = {}
     for rep in a.arrow_reps:
         src, tgt = rep.source, rep.target
+        if not (free[src] and free[tgt]):
+            continue
         A = m.mats[rep.name]
         section = Matrix.wrap(f, [[row[c] for c in free[src]] for row in A.data],
                               A.rows, len(free[src]))
@@ -626,7 +631,7 @@ def right_multiples(m: Module, v, vec):
                         images[word[:n]] = m.mats[reps[word[n - 1]].name].apply(
                             images[word[:n - 1]])
             for i, x in enumerate(images[word]):
-                if x != z:
+                if x:
                     acc[i] = f.add(acc[i], f.mul(coeff, x))
         out[k] = acc
     return out
@@ -728,9 +733,14 @@ def _indec_iso(m: Module, n: Module) -> bool:
 
 
 def _fitting_split(m: Module, f: ModuleMap):
-    """Split M along ker(f^N) + im(f^N); None when the split is trivial."""
+    """Split M along ker(f^N) + im(f^N); None when the split is trivial.
+
+    f acts vertex by vertex, and on a space of dimension d the kernel and
+    image of f^n are stable from n = d on; s squarings, with 2^s > max(dims),
+    reach such a power N = 2^s.
+    """
     power = f
-    for _ in range(m.total_dim.bit_length() + 1):
+    for _ in range(max(m.dims).bit_length()):
         power = power.compose(power)
     ker, _ = kernel_of(power, label=f"{m.label}'")
     if ker.total_dim == 0 or ker.total_dim == m.total_dim:

@@ -157,6 +157,21 @@ def test_decompose_zero(alg_b):
     assert decompose(zero_module(alg_b)) == []
 
 
+@pytest.mark.parametrize("field", ["rational", "gf(3)", "gf(32003)"])
+def test_fitting_split_squares_past_the_largest_vertex_dimension(field):
+    # P(1) of k[x]/(x^3) is local: x acts nilpotently with x^2 != 0, so
+    # ker(x^2) + im(x^2) has dimension 2 + 1 = 3 and only a power x^N with
+    # N >= 3 shows that the Fitting split is trivial
+    from quiverkit.algebra import build_algebra
+    from quiverkit.quiver import parse_presentation
+    from quiverkit.repmod import ModuleMap, _fitting_split
+    a = build_algebra(parse_presentation(
+        f"field: {field}\nvertices: 1\narrows: x: 1 -> 1\nrelations: x*x*x\n"))
+    p = projective(a, "1")
+    assert p.dims == (3,)
+    assert _fitting_split(p, ModuleMap(p, p, [p.mats["x"]])) is None
+
+
 def test_dual_module_swaps(alg_a2):
     s = projective(alg_a2, "1")
     d = dual_module(s)
