@@ -15,8 +15,9 @@ the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
 It tests entries for zero by truth value, so GF(p) entries must stay
 reduced into [0, p): `from_int` and `scalar_from_str` reduce every scalar
 that enters, and the field operations keep it so.  A block with no rows or
-no columns is never eliminated or multiplied: `matmul`, `rref`, `echelon`
-and `unit_complement` return its result at once.
+no columns is never multiplied or eliminated: `matmul` and
+`unit_complement` return its result at once, and the elimination makes no
+step on it.
 
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
 composite "first f, then g" has matrix g @ f.  `lincomb` sums scaled
@@ -84,8 +85,7 @@ class RationalField:
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        # +-1, the most common pivot, is its own inverse
-        return _q(x) if x in (1, -1) else _q(Fraction(1, x))
+        return _q(Fraction(1, x))
 
     def scalar_from_str(self, s: str):
         return _q(Fraction(s))
@@ -350,8 +350,6 @@ def rref(m: Matrix) -> RrefResult:
     The elimination runs on one copy of m's rows, which becomes the result.
     """
     work = [list(row) for row in m.data]
-    if not (m.rows and m.cols):
-        return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), 0, [])
     pivots = _eliminate(work, m.cols, m.field)
     return RrefResult(Matrix.wrap(m.field, work, m.rows, m.cols), len(pivots), pivots)
 
@@ -359,7 +357,7 @@ def rref(m: Matrix) -> RrefResult:
 def echelon(f, vecs, d):
     """The reduced echelon basis of span(vecs) in k^d, in pivot order, and
     its pivot columns."""
-    if not (vecs and d):
+    if not vecs:
         return [], []
     res = rref(Matrix.wrap(f, vecs, len(vecs), d))
     return res.reduced.data[:res.rank], res.pivot_columns

@@ -168,10 +168,9 @@ class ModuleMap:
 
     def compose(self, first):
         """self after first (first: X -> source, result: X -> target)."""
-        f = self.target.algebra.field
-        return ModuleMap(first.source, self.target, [
-            matmul(g, h) if g.rows and g.cols and h.cols else Matrix.zeros(f, g.rows, h.cols)
-            for g, h in zip(self.blocks, first.blocks)])
+        return ModuleMap(first.source, self.target,
+                         [matmul(self.blocks[v], first.blocks[v])
+                          for v in range(len(self.blocks))])
 
     def flatten(self):
         out = []
@@ -386,12 +385,10 @@ def submodule_from_spans(m: Module, spans, label="U"):
     mats = {}
     for rep in a.arrow_reps:
         src, tgt = rep.source, rep.target
-        if not (dims[src] and m.dims[tgt]):
-            continue
         img = matmul(m.mats[rep.name], incl_blocks[src])
         pivots = echelons[tgt][1]
         block = Matrix.wrap(f, [img.data[p] for p in pivots], dims[tgt], dims[src])
-        if matmul(incl_blocks[tgt], block) != img:
+        if img.cols and matmul(incl_blocks[tgt], block) != img:
             raise ModuleError("spans not closed under the arrow actions")
         mats[rep.name] = block
     sub = Module(a, dims, mats, label=label)
@@ -420,8 +417,6 @@ def quotient_module(m: Module, spans, label="Q"):
     mats = {}
     for rep in a.arrow_reps:
         src, tgt = rep.source, rep.target
-        if not (free[src] and free[tgt]):
-            continue
         A = m.mats[rep.name]
         section = Matrix.wrap(f, [[row[c] for c in free[src]] for row in A.data],
                               A.rows, len(free[src]))

@@ -172,6 +172,25 @@ def test_fitting_split_squares_past_the_largest_vertex_dimension(field):
     assert _fitting_split(p, ModuleMap(p, p, [p.mats["x"]])) is None
 
 
+def test_compose_checks_block_shapes_at_an_empty_vertex(alg_b):
+    # S(1) -> 0 -> 0: the zero module's blocks are all 0-row, so a 0x1
+    # block at vertex 1 of the second map has the wrong shape for the
+    # composite and must still be refused
+    from quiverkit.linalg import LinalgError, Matrix
+    from quiverkit.repmod import ModuleMap
+    f = alg_b.field
+    s1 = simple(alg_b, "1")
+    z = zero_module(alg_b)
+    first = ModuleMap(s1, z, [Matrix.zeros(f, 0, d) for d in s1.dims])
+    bad = ModuleMap(z, z, [Matrix.zeros(f, 0, 0) for _ in z.dims])
+    bad.blocks[alg_b.vertex_index("1")] = Matrix.zeros(f, 0, 1)
+    with pytest.raises(LinalgError):
+        bad.compose(first)
+    good = ModuleMap(z, z, [Matrix.zeros(f, 0, 0) for _ in z.dims])
+    assert [(b.rows, b.cols) for b in good.compose(first).blocks] == [
+        (0, d) for d in s1.dims]
+
+
 def test_dual_module_swaps(alg_a2):
     s = projective(alg_a2, "1")
     d = dual_module(s)
