@@ -383,17 +383,14 @@ def ext2_row_module(ext2: Bimodule, vertex_index: int) -> Module:
         if i == vertex_index:
             positions[j].append(t)
     dims = [len(p) for p in positions]
+    units = Matrix.identity(f, ext2.dim).data
     mats = {}
     for rep in c.arrow_reps:
-        s, t = rep.source, rep.target
-        mat = Matrix.zeros(f, dims[t], dims[s])
-        for col, u in enumerate(positions[s]):
-            unit = [f.zero()] * ext2.dim
-            unit[u] = f.one()
-            img = ext2.act_right(list(rep.vector), unit)
-            for row, u2 in enumerate(positions[t]):
-                mat.data[row][col] = img[u2]
-        mats[rep.name] = mat
+        rho, at_target = list(rep.vector), positions[rep.target]
+        mats[rep.name] = Matrix.from_columns(f, [
+            [img[u2] for u2 in at_target]
+            for img in (ext2.act_right(rho, units[u]) for u in positions[rep.source])],
+            dims[rep.target])
     return Module(c, dims, mats, label=f"ext2 row {c.vertices[vertex_index]}")
 
 

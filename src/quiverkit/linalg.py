@@ -19,6 +19,13 @@ no columns is never multiplied or eliminated: `matmul` and
 `unit_complement` return its result at once, and the elimination makes no
 step on it.
 
+A block is built once, from its rows (`Matrix.wrap`) or from its columns
+(`Matrix.from_columns`), not by writing entries one at a time into a
+zero-filled matrix.  `Matrix.zeros` is for a block whose value is zero, or
+that seeds an accumulation such as `matmul` or `lincomb`.  Only the dense
+reference action that the tests check modules against,
+`Module.basis_action`, still fills its matrices entry by entry.
+
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
 composite "first f, then g" has matrix g @ f.  `lincomb` sums scaled
 matrices, the one linear combination of maps.
@@ -198,11 +205,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        z, one = field.zero(), field.one()
+        return cls.wrap(field, [[z] * i + [one] + [z] * (n - 1 - i) for i in range(n)], n, n)
 
     @classmethod
     def from_int_rows(cls, field, rows):
@@ -210,21 +214,18 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, columns, rows):
-        m = cls.zeros(field, rows, len(columns))
-        for j, col in enumerate(columns):
-            for i in range(rows):
-                m.data[i][j] = col[i]
-        return m
+        """The rows x len(columns) matrix with the given columns."""
+        for col in columns:
+            if len(col) != rows:
+                raise LinalgError("column length mismatch")
+        data = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(rows)]
+        return cls.wrap(field, data, rows, len(columns))
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
     def transpose(self):
-        t = Matrix.zeros(self.field, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                t.data[j][i] = self.data[i][j]
-        return t
+        return Matrix.from_columns(self.field, self.data, self.cols)
 
     def is_zero(self):
         return not any(map(any, self.data))
@@ -369,10 +370,7 @@ def kernel_basis(m: Matrix) -> list:
     if m.cols == 0:
         return []
     if m.rows == 0:
-        return [
-            [f.one() if i == j else f.zero() for i in range(m.cols)]
-            for j in range(m.cols)
-        ]
+        return Matrix.identity(f, m.cols).data
     res = rref(m)
     pivots = res.pivot_columns
     pivot_set = set(pivots)

@@ -251,13 +251,11 @@ def _build_projective(a: BasedAlgebra, v) -> Module:
     dims = [len(lst) for lst in per_vertex]
     mats = {}
     for rep in a.arrow_reps:
-        src, tgt = rep.source, rep.target
-        m = Matrix.zeros(f, dims[tgt], dims[src])
-        for col, k in enumerate(per_vertex[src]):
-            prod = a.mul_vec(a.unit(k), list(rep.vector))
-            for row, k2 in enumerate(per_vertex[tgt]):
-                m.data[row][col] = prod[k2]
-        mats[rep.name] = m
+        # the column of b_k is b_k . rho, read at the basis of the target
+        rho, at_target = list(rep.vector), per_vertex[rep.target]
+        products = [a.mul_vec(a.unit(k), rho) for k in per_vertex[rep.source]]
+        mats[rep.name] = Matrix.wrap(f, [[p[k2] for p in products] for k2 in at_target],
+                                     dims[rep.target], dims[rep.source])
     return Module(a, dims, mats, label=f"P({v})")
 
 
@@ -279,21 +277,21 @@ def injective(a: BasedAlgebra, v) -> Module:
 
 
 def direct_sum(a: BasedAlgebra, mods, label=None) -> Module:
+    """The block-diagonal sum: each summand's rows, padded with zeros to the
+    left and right of its columns."""
     f = a.field
+    z = f.zero()
     n = len(a.vertices)
     dims = [sum(m.dims[v] for m in mods) for v in range(n)]
     mats = {}
     for rep in a.arrow_reps:
-        big = Matrix.zeros(f, dims[rep.target], dims[rep.source])
-        r0 = c0 = 0
+        cols = dims[rep.source]
+        data, c0 = [], 0
         for m in mods:
-            blk = m.mats[rep.name]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    big.data[r0 + i][c0 + j] = blk.data[i][j]
-            r0 += m.dims[rep.target]
-            c0 += m.dims[rep.source]
-        mats[rep.name] = big
+            c1 = c0 + m.dims[rep.source]
+            data += [[z] * c0 + row + [z] * (cols - c1) for row in m.mats[rep.name].data]
+            c0 = c1
+        mats[rep.name] = Matrix.wrap(f, data, dims[rep.target], cols)
     if label is None:
         label = "+".join(m.label for m in mods) if mods else "0"
     return Module(a, dims, mats, label=label)
@@ -652,21 +650,15 @@ def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
     The column of b_k in the c-th summand is gen_images[c] . b_k, read from
     `right_multiples` in basis order, the order of the summand's basis at
     each vertex; the summands' columns follow one another, so each vertex's
-    next free column is all the layout needed.
+    block is its columns in the order they come.
     """
     a = psum.algebra
-    f = a.field
-    m = psum.module
-    nv = len(a.vertices)
-    blocks = [Matrix.zeros(f, target.dims[w], m.dims[w]) for w in range(nv)]
-    col = [0] * nv  # the next free column at each vertex
+    columns = [[] for _ in a.vertices]
     for c, v in enumerate(psum.verts):
         for k, image in right_multiples(target, v, gen_images[c]).items():
-            w = a.target[k]
-            for i, x in enumerate(image):
-                blocks[w].data[i][col[w]] = x
-            col[w] += 1
-    return ModuleMap(m, target, blocks)
+            columns[a.target[k]].append(image)
+    return ModuleMap(psum.module, target, [Matrix.from_columns(a.field, cols, d)
+                                           for cols, d in zip(columns, target.dims)])
 
 
 def top_generator_slots(m: Module):
@@ -703,17 +695,16 @@ def min_proj_presentation(m: Module):
 
 def end_radical_basis(ends):
     """A basis of the Jacobson radical of End(M), given a basis `ends` of
-    End(M): the kernel of the trace form (valid in characteristic zero and
-    for p much larger than dim End)."""
+    End(M): the kernel of the trace form (x, y) -> tr(xy) on M.  Valid in
+    characteristic 0 and for p > dim M: an x in the kernel has tr(x^k) = 0
+    for every k <= dim M, which by Newton's identities forces x to be
+    nilpotent."""
     if not ends:
         return []
-    f = ends[0].source.algebra.field
-    n = len(ends)
-    gram = Matrix.zeros(f, n, n)
-    for i in range(n):
-        for j in range(n):
-            gram.data[i][j] = ends[i].compose(ends[j]).trace()
     m = ends[0].source
+    n = len(ends)
+    gram = Matrix.wrap(m.algebra.field, [[x.compose(y).trace() for y in ends] for x in ends],
+                       n, n)
     return [combine_maps(coords, ends, m, m) for coords in kernel_basis(gram)]
 
 

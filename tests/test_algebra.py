@@ -3,6 +3,7 @@ import pytest
 
 from quiverkit.algebra import (
     BuildError,
+    Ideal,
     build_algebra,
     cartan_matrix,
     check_associativity,
@@ -10,6 +11,7 @@ from quiverkit.algebra import (
     check_idempotents,
     gabriel_quiver,
     opposite_algebra,
+    quotient_algebra,
     quotient_by_vertex,
     radical_nilpotency_degree,
     two_sided_ideal,
@@ -110,6 +112,16 @@ def test_quotient_by_vertex_a2(alg_a2):
         quotient_by_vertex(k, "1")
     with pytest.raises(BuildError):
         quotient_by_vertex(alg_a2, "9")
+
+
+def test_quotient_refuses_an_idempotent_outside_the_ideal(alg_a2):
+    # span(e1 - e2) rewrites the later idempotent as the earlier one, but
+    # contains neither, so the quotient would lose a vertex it keeps
+    f = alg_a2.field
+    e1, e2 = alg_a2.idempotents
+    diff = [f.sub(x, y) for x, y in zip(alg_a2.unit(e1), alg_a2.unit(e2))]
+    with pytest.raises(BuildError, match="without containing it"):
+        quotient_algebra(alg_a2, Ideal(alg_a2, [diff]))
 
 
 def test_quotient_bprime_recovers_square(alg_bprime, alg_b):

@@ -5,6 +5,8 @@ over Q, GF(7) and GF(32003).  The reduced row-echelon form is unique, so
 `rref` must agree with sympy entry by entry; the kernel, `solve`,
 `solve_many`, `unit_complement` and `SpanTracker` are checked against
 sympy's rank, and `matmul` against the product computed without quiverkit.
+`transpose` and `Matrix.from_columns` are checked against the entries they
+move, on the same shapes.
 
 Over Q a scalar is an int when integral and a Fraction otherwise; the inputs
 mix ints with Fractions, integral ones included, and every value the field
@@ -23,6 +25,7 @@ from quiverkit.algebra import build_algebra
 from quiverkit.cli import _load_presentation, fixture_path
 from quiverkit.extensions import ExtensionError, relation_extension
 from quiverkit.linalg import (
+    LinalgError,
     Matrix,
     PrimeField,
     RationalField,
@@ -251,6 +254,35 @@ def test_unit_complement_is_the_greedy_rank_choice(field, data):
                 > _sympy_rank(field, rows + chosen, cols)):
             chosen.append(unit)
     assert unit_complement(field, rows, cols) == [u.index(field.one()) for u in chosen]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_transpose_and_from_columns_round_trip(field, data):
+    rows, cols = data.draw(matrices(field))
+    m = Matrix(field, rows, len(rows), cols)
+    t = m.transpose()
+    assert (t.rows, t.cols, len(t.data)) == (cols, len(rows), cols)
+    assert t.data == [[row[j] for row in rows] for j in range(cols)]
+    assert t.data == [m.column(j) for j in range(cols)]
+    assert t.transpose() == m and Matrix.from_columns(field, t.data, m.rows) == m
+    assert m.data == rows  # the input is left as it was
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_from_columns_refuses_a_column_of_another_length(field, data):
+    rows, cols = data.draw(matrices(field))
+    columns = [[row[j] for row in rows] for j in range(cols)]
+    j = data.draw(st.integers(0, cols))  # cols: a further column
+    if j == cols:
+        columns.append([field.zero()] * len(rows))
+    longer = not columns[j] or data.draw(st.booleans())
+    columns[j] = columns[j] + [field.one()] if longer else columns[j][:-1]
+    with pytest.raises(LinalgError):
+        Matrix.from_columns(field, columns, len(rows))
 
 
 _RATIONALS = st.one_of(st.integers(-9, 9),

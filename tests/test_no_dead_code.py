@@ -1,8 +1,8 @@
 """Every function, class and method of the package has a reference somewhere
-in the repository's code, every attribute the package stores on self is
-read somewhere, and every parameter with a default is passed by some call:
-a helper without callers, state that nothing reads, or an option that no
-caller sets fails these tests."""
+in the repository's code, every attribute the package stores on self and
+every field of its dataclasses is read somewhere, and every parameter with a
+default is passed by some call: a helper without callers, state that nothing
+reads, or an option that no caller sets fails these tests."""
 
 import ast
 import re
@@ -77,12 +77,26 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def _is_dataclass(node):
+    """A class decorated with dataclass, called or not, bare or dotted."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (getattr(d, "id", None) or getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def _stored_attributes(tree):
-    """Attributes assigned on self."""
+    """Attributes assigned on self, and the fields of dataclasses: their
+    annotated class-level names."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                 and isinstance(node.value, ast.Name) and node.value.id == "self"):
             yield node.attr, node.lineno
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.target.id, stmt.lineno
 
 
 def _reads(tree):
