@@ -8,6 +8,8 @@ almost split sequence 0 -> tau Y -> E -> Y -> 0 ending at the next
 non-projective node Y gives the arrows into Y, and the new summands of E
 go back into the queue.  So one construction gives the nodes, translates
 and arrows, and a capped fragment carries only arrows read off modules.
+An arrow out of an injective is also found from its target's rad P or
+almost split sequence; the two multiplicities must agree.
 
 The axiom checkers evaluate slice, local-slice and (left-)section
 conditions literally on a complete fragment and report every violated
@@ -288,10 +290,12 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
                 break
             if idx is None:
                 continue
-            if kind == "in":
-                arrows[(idx, i)] = mult
-            elif kind == "out":
-                arrows[(i, idx)] = mult
+            if kind in ("in", "out"):
+                # an arrow found from both ends must have one multiplicity
+                key = (idx, i) if kind == "in" else (i, idx)
+                if arrows.setdefault(key, mult) != mult:
+                    raise ARQuiverError(f"the arrow {labels[key[0]]} -> {labels[key[1]]} "
+                                        "has two multiplicities")
             elif kind == "tau":
                 tau_of[i] = idx
             else:

@@ -1,7 +1,11 @@
 """Extension constructions on based algebras.
 
-* one-point extension A[M]: triangular matrix algebra on A and a module M,
-  with one new source vertex whose indecomposable projective has radical M;
+Both of the paper's constructions are square-zero extensions A x E by a
+bimodule E, built by one constructor (`_square_zero_extension`):
+
+* one-point extension A[M] = (A x k) x M: the triangular matrix algebra
+  on A and a module M, with one new source vertex whose indecomposable
+  projective has radical M;
 * one-point coextension: the dual construction, the new vertex is a sink;
 * the bimodule of degree-2 self-extensions Ext^2(D A, A) with its exact
   left and right actions: its blocks Ext^2(I(j), P(i)) are read from
@@ -34,7 +38,7 @@ from quiverkit.homology import (
     lift_chain_map,
     min_resolution,
 )
-from quiverkit.linalg import Matrix, unit_complement
+from quiverkit.linalg import Matrix, lincomb, unit_complement
 from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
     Module,
@@ -45,7 +49,6 @@ from quiverkit.repmod import (
     projective,
     projective_cover,
     right_action,
-    top_generator_slots,
 )
 
 
@@ -88,82 +91,85 @@ def _column_terms(mat, t, offset):
     return tuple((offset + u, x) for u, x in enumerate(mat.column(t)) if x)
 
 
+def _square_zero_extension(a: BasedAlgebra, e: Bimodule, e_labels, arrows):
+    """The square-zero extension a x E of a by the bimodule e.
+
+    Its basis is a's, then e's, labelled e_labels.  Multiplication is
+    (x, u)(x', u') = (x x', x.u' + u.x'), with x.u and u.x the columns of
+    e's left and right actions; E.E = 0 and E lies in the radical.  For
+    each (name, t) in arrows, e's basis vector t becomes a new arrow
+    representative of that name, from block e.blocks[t].
+    """
+    f = a.field
+    na = a.dim
+    dim = na + e.dim
+    mult = dict(a.mult)
+    for k in range(na):
+        for t in range(e.dim):
+            for key, mat in (((k, na + t), e.left[k]), ((na + t, k), e.right[k])):
+                terms = _column_terms(mat, t, na)
+                if terms:
+                    mult[key] = terms
+    reps = _padded_reps(a, dim)
+    for name, t in arrows:
+        vec = [f.zero()] * dim
+        vec[na + t] = f.one()
+        reps.append(ArrowRep(name, *e.blocks[t], tuple(vec)))
+    return BasedAlgebra(f, a.vertices, list(a.labels) + list(e_labels),
+                        list(a.source) + [i for i, _ in e.blocks],
+                        list(a.target) + [j for _, j in e.blocks],
+                        list(a.idempotents), list(a.radical) + list(range(na, dim)),
+                        mult, reps)
+
+
 def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
-    """The triangular matrix algebra on (a, m); the extension vertex is a
-    source and the radical of its indecomposable projective is m."""
+    """(a x k) x m, the triangular matrix algebra on (a, m): the new vertex
+    is a source and the radical of its indecomposable projective is m."""
     if m.algebra is not a:
         raise ExtensionError("module is not over the algebra being extended")
     f = a.field
-    nverts = len(a.vertices)
+    na, nverts, n = a.dim, len(a.vertices), m.total_dim
     new_id = _fresh_vertex_id(a.vertices)
-    vertices = a.vertices + (new_id,)
-    new_vi = nverts
-
-    # basis: a-part, the new idempotent, then m-part grouped by vertex; the
-    # m-part element of coordinate i at vertex v is na + 1 + moff[v] + i
-    na = a.dim
-    moff = m.offsets()
-    dim = na + 1 + m.total_dim
     taken = set(a.labels)
     e_label = f"e{new_id}"
     if e_label in taken:
         e_label = _fresh_names("e_ext", 1, taken)[0]
     taken.add(e_label)
-    m_labels = _fresh_names("m", m.total_dim, taken)
-    labels = list(a.labels) + [e_label] + m_labels
-    source = list(a.source) + [new_vi] * (1 + m.total_dim)
-    target = (list(a.target) + [new_vi]
-              + [v for v in range(nverts) for _ in range(m.dims[v])])
-    idempotents = list(a.idempotents) + [na]
-    radical = list(a.radical) + list(range(na + 1, dim))
-
-    z = f.zero()
-    reps = _padded_reps(a, dim)
-    # a's products stay; a times the new part is zero
-    mult = dict(a.mult)
-    # the new idempotent is a left identity on itself and the m-part
-    for k in range(na, dim):
-        mult[(na, k)] = ((k, f.one()),)
-    # a acts on the m-part from the right as on m: m_i . b_j is column i of R_j
+    # a x k: a's data, then the new vertex and its idempotent
+    ak = BasedAlgebra(f, a.vertices + (new_id,), list(a.labels) + [e_label],
+                      list(a.source) + [nverts], list(a.target) + [nverts],
+                      list(a.idempotents) + [na], list(a.radical),
+                      {**a.mult, (na, na): ((na, f.one()),)}, _padded_reps(a, na + 1))
+    # m, grouped by vertex, as a bimodule: the new idempotent is the left
+    # identity, a acts on the right as on m
+    moff = m.offsets()
+    right = [Matrix.zeros(f, n, n) for _ in range(na + 1)]
     for v in range(nverts):
-        for j, r in right_action(m, v).items():
-            for i in range(m.dims[v]):
-                terms = _column_terms(r, i, na + 1 + moff[a.target[j]])
-                if terms:
-                    mult[(na + 1 + moff[v] + i, j)] = terms
-
-    # extension arrows: one per top(m) generator
-    new_arrow_slots = top_generator_slots(m)
-    arrow_names = _fresh_names("x", len(new_arrow_slots), set(r.name for r in reps))
-    for nm, (v, i) in zip(arrow_names, new_arrow_slots):
-        vec = [z] * dim
-        vec[na + 1 + moff[v] + i] = f.one()
-        reps.append(ArrowRep(nm, new_vi, v, tuple(vec)))
-
-    return BasedAlgebra(f, vertices, labels, source, target, idempotents,
-                        radical, mult, reps)
+        for k, mat in right_action(m, v).items():  # v -> target(b_k)
+            _place(right[k], mat, moff[a.target[k]], moff[v])
+    e = Bimodule(ak, [(nverts, v) for v in range(nverts) for _ in range(m.dims[v])],
+                 [Matrix.zeros(f, n, n)] * na + [Matrix.identity(f, n)], right)
+    slots = e.arrow_positions()
+    names = _fresh_names("x", len(slots), {r.name for r in a.arrow_reps})
+    return _square_zero_extension(ak, e, _fresh_names("m", n, taken), zip(names, slots))
 
 
 def one_point_coextension(a: BasedAlgebra, n: Module) -> BasedAlgebra:
     """Dual construction through the opposite algebra; the extension vertex
     is a sink (no outgoing arrows)."""
-    op = a.opposite()
-    dn = dual_module(n)
-    ext = one_point_extension(op, Module(op, dn.dims, dn.mats, label=dn.label))
-    return opposite_algebra(ext)
+    return opposite_algebra(one_point_extension(a.opposite(), dual_module(n)))
 
 
 # ---------------------------------------------------------------------------
-# the Ext^2 bimodule
+# bimodules and the Ext^2 bimodule
 
 
 @dataclass
 class Bimodule:
-    """Ext^2(D A, A) with its left and right A-actions.
-
-    Basis vector t lives in the block (i, j) = blocks[t], meaning it is a
-    degree-2 extension of the injective at j by the projective at i; under
-    the actions these blocks behave like elements of e_i E e_j.
+    """A bimodule E with its left and right A-actions: Ext^2(D A, A), or M
+    of a one-point extension.  Basis vector t lies in e_i E e_j for the
+    block (i, j) = blocks[t]; in Ext^2 it is a degree-2 extension of the
+    injective at j by the projective at i.
     """
 
     algebra: BasedAlgebra
@@ -185,7 +191,7 @@ class Bimodule:
         """Basis positions, earliest first, whose unit vectors complete
         rad.E + E.rad to E (`linalg.unit_complement` of the columns of the
         radical's left and right actions): a basis of E/(rad.E + E.rad), the
-        new arrows of the trivial extension."""
+        new arrows of the square-zero extension."""
         a = self.algebra
         images = [col for r in a.radical for mat in (self.left[r], self.right[r])
                   for col in mat.transpose().data]
@@ -200,23 +206,12 @@ class Bimodule:
         return out
 
     def act_left(self, algebra_vec, evec):
-        return _act(self.left, algebra_vec, evec)
+        return lincomb(self.algebra.field, self.dim, self.dim,
+                       zip(algebra_vec, self.left)).apply(evec)
 
     def act_right(self, algebra_vec, evec):
-        return _act(self.right, algebra_vec, evec)
-
-
-def _act(mats, algebra_vec, evec):
-    """The action on evec of an algebra element, given the matrices of the
-    basis elements' actions."""
-    f = mats[0].field
-    out = [f.zero()] * len(evec)
-    for k, c in enumerate(algebra_vec):
-        if not c:
-            continue
-        img = mats[k].apply(evec)
-        out = [f.add(x, f.mul(c, y)) for x, y in zip(out, img)]
-    return out
+        return lincomb(self.algebra.field, self.dim, self.dim,
+                       zip(algebra_vec, self.right)).apply(evec)
 
 
 def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
@@ -318,43 +313,12 @@ def _place(big, mat, row, col):
 
 
 def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
-    """The trivial extension of c by Ext^2(D c, c).
-
-    Multiplication is (x, e)(x', e') = (x x', x.e' + e.x'); the second
-    summand squares to zero and the radical is rad(c) plus the whole
-    second summand.
-    """
+    """The trivial extension c x Ext^2(D c, c): the square-zero extension
+    by the bimodule, with one new arrow per basis vector of its top."""
     ext2 = ext2_bimodule(c)
-    f = c.field
-    na = c.dim
-    ne = ext2.dim
-    dim = na + ne
-    taken = set(c.labels)
-    e_labels = _fresh_names("n", ne, taken)
-    labels = list(c.labels) + e_labels
-    source = list(c.source) + [i for (i, j) in ext2.blocks]
-    target = list(c.target) + [j for (i, j) in ext2.blocks]
-    idempotents = list(c.idempotents)
-    radical = list(c.radical) + [na + t for t in range(ne)]
-
-    reps = _padded_reps(c, dim)
-    # x . e and e . x are the columns of the actions; E * E = 0
-    mult = dict(c.mult)
-    for i in range(na):
-        for t in range(ne):
-            for key, mat in (((i, na + t), ext2.left[i]), ((na + t, i), ext2.right[i])):
-                terms = _column_terms(mat, t, na)
-                if terms:
-                    mult[key] = terms
-
-    for t in ext2.arrow_positions():
-        i, j = ext2.blocks[t]
-        vec = [f.zero()] * dim
-        vec[na + t] = f.one()
-        reps.append(ArrowRep(e_labels[t], i, j, tuple(vec)))
-
-    out = BasedAlgebra(f, c.vertices, labels, source, target, idempotents,
-                       radical, mult, reps)
+    e_labels = _fresh_names("n", ext2.dim, set(c.labels))
+    out = _square_zero_extension(c, ext2, e_labels,
+                                 [(e_labels[t], t) for t in ext2.arrow_positions()])
     out._ext2 = ext2  # kept for tests
     return out
 
@@ -371,27 +335,6 @@ def restrict_to_base(m: Module, c: BasedAlgebra) -> Module:
             raise ExtensionError(f"arrow {rep.name} missing from the extension")
         mats[rep.name] = m.mats[rep.name]
     return Module(c, m.dims, mats, label=f"{m.label}|base")
-
-
-def ext2_row_module(ext2: Bimodule, vertex_index: int) -> Module:
-    """The right-module slice e_v . Ext^2(D c, c) of the bimodule."""
-    c = ext2.algebra
-    f = c.field
-    nverts = len(c.vertices)
-    positions = [[] for _ in range(nverts)]
-    for t, (i, j) in enumerate(ext2.blocks):
-        if i == vertex_index:
-            positions[j].append(t)
-    dims = [len(p) for p in positions]
-    units = Matrix.identity(f, ext2.dim).data
-    mats = {}
-    for rep in c.arrow_reps:
-        rho, at_target = list(rep.vector), positions[rep.target]
-        mats[rep.name] = Matrix.from_columns(f, [
-            [img[u2] for u2 in at_target]
-            for img in (ext2.act_right(rho, units[u]) for u in positions[rep.source])],
-            dims[rep.target])
-    return Module(c, dims, mats, label=f"ext2 row {c.vertices[vertex_index]}")
 
 
 def lift_projective(c: BasedAlgebra, p: Module, r: BasedAlgebra) -> Module:

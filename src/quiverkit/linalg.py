@@ -15,7 +15,7 @@ the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
 It tests entries for zero by truth value, so GF(p) entries must stay
 reduced into [0, p): `from_int` and `scalar_from_str` reduce every scalar
 that enters, and the field operations keep it so.  A block with no rows or
-no columns is never multiplied or eliminated: `matmul` and
+no columns is never multiplied or eliminated: `matmul`, `kernel_basis` and
 `unit_complement` return its result at once, and the elimination makes no
 step on it.
 

@@ -466,17 +466,10 @@ def top_of(m: Module) -> Module:
 def socle_spans(m: Module):
     """Per-vertex joint kernels of all arrow actions out of the vertex."""
     a = m.algebra
-    f = a.field
     spans = []
     for v in range(len(m.dims)):
-        rows = []
-        for rep in a.arrow_reps:
-            if rep.source == v:
-                rows.extend(m.mats[rep.name].data)
-        if not rows:
-            spans.append([list(row) for row in Matrix.identity(f, m.dims[v]).data])
-        else:
-            spans.append(kernel_basis(Matrix(f, rows, len(rows), m.dims[v])))
+        rows = [row for rep in a.arrow_reps if rep.source == v for row in m.mats[rep.name].data]
+        spans.append(kernel_basis(Matrix(a.field, rows, len(rows), m.dims[v])))
     return spans
 
 

@@ -116,6 +116,18 @@ def test_knit_cap_flags_incomplete(alg_a31):
         knit(alg_a31, 2)  # below the vertex count
 
 
+def test_knit_arrows_found_from_both_ends_must_agree(pres_b, monkeypatch):
+    # an arrow out of an injective is found from I/soc and again from its
+    # target's rad P or almost split sequence; a doubled I/soc must not be
+    # silently overwritten by the other end
+    import quiverkit.arquiver as arquiver
+    real = arquiver.socle_quotient
+    monkeypatch.setattr(arquiver, "socle_quotient",
+                        lambda m: direct_sum(m.algebra, [real(m), real(m)]))
+    with pytest.raises(ARQuiverError, match="has two multiplicities"):
+        knit(build_algebra(pres_b), 40)
+
+
 def test_knit_exports(frag_b):
     data = frag_b.to_json()
     assert data["complete"] is True

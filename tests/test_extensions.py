@@ -17,8 +17,10 @@ from quiverkit.extensions import (
     verify_extension_commutes,
 )
 from quiverkit.homology import ext_dim
-from quiverkit.quiver import quiver_isomorphism
+from quiverkit.linalg import Matrix
+from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import (
+    Module,
     direct_sum,
     injective,
     is_isomorphic,
@@ -252,19 +254,44 @@ def test_bimodule_actions_are_compatible(alg_c):
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("construct", [one_point_extension, one_point_coextension])
+@pytest.mark.parametrize("text, vertex, idempotent, arrows", [
+    # letter vertices: the new vertex is x1, its idempotent ex1
+    ("field: rational\nvertices: a b\narrows: p: a -> b\n", "x1", "ex1", ["x1", "x2"]),
+    # e5 and x1 are taken, as a basis label and an arrow name
+    ("field: gf(7)\nvertices: 1 2 3 4\narrows: e5: 1 -> 2, x1: 2 -> 3, y: 3 -> 4\n"
+     "relations: e5*x1*y\n", "5", "e_ext1", ["x2", "x3", "x4", "x5"]),
+])
+def test_extension_fresh_names(construct, text, vertex, idempotent, arrows):
+    a = build_algebra(parse_presentation(text))
+    ext = construct(a, direct_sum(a, [projective(a, v) for v in a.vertices]))
+    assert ext.vertices[-1] == vertex
+    assert ext.labels[ext.idempotents[-1]] == idempotent
+    new = len(a.vertices)
+    assert [r.name for r in ext.arrow_reps if new in (r.source, r.target)] == arrows
+    assert check_associativity(ext) and check_idempotents(ext)
+
+
 def test_lifted_projective_splits_over_base(alg_c):
     # the lift restricted to the base algebra is the projective plus the
     # matching slice of the degree-2 extension bimodule, as modules
-    from quiverkit.extensions import ext2_row_module, restrict_to_base
+    from quiverkit.extensions import restrict_to_base
     R = relation_extension(alg_c)
     E = R._ext2
-    for v in alg_c.vertices:
+    f = alg_c.field
+    units = Matrix.identity(f, E.dim).data
+    for vi, v in enumerate(alg_c.vertices):
+        # e_v . E: the blocks (v, j) of E.right, at the arrow representatives
+        at = [[t for t, b in enumerate(E.blocks) if b == (vi, j)]
+              for j in range(len(alg_c.vertices))]
+        row = Module(alg_c, [len(ts) for ts in at], {
+            rep.name: Matrix.from_columns(f, [
+                [E.act_right(rep.vector, units[u])[w] for w in at[rep.target]]
+                for u in at[rep.source]], len(at[rep.target]))
+            for rep in alg_c.arrow_reps})
         p = projective(alg_c, v)
-        pbar = lift_projective(alg_c, p, R)
-        restricted = restrict_to_base(pbar, alg_c)
-        expected = direct_sum(
-            alg_c, [p, ext2_row_module(E, alg_c.vertex_index(v))])
-        assert is_isomorphic(restricted, expected)
+        restricted = restrict_to_base(lift_projective(alg_c, p, R), alg_c)
+        assert is_isomorphic(restricted, direct_sum(alg_c, [p, row]))
 
 
 def test_extension_counts_multiplicities(alg_b):
