@@ -34,8 +34,8 @@ from quiverkit.homology import almost_split_middle, start_resolution, tau, tau_i
 from quiverkit.linalg import Matrix, echelon, kernel_basis
 from quiverkit.repmod import (
     Module,
-    _indec_iso,
     decompose,
+    find_isomorphic,
     hom_basis,
     injective,
     is_isomorphic,
@@ -87,7 +87,7 @@ class ARFragment:
         return self.incomplete_reason is None
 
     def find(self, module) -> int:
-        return _find_node(self.nodes, module)
+        return find_isomorphic(self.nodes, module)
 
     def node_by_label(self, label) -> int:
         for i, lab in enumerate(self.labels):
@@ -187,14 +187,6 @@ class ARFragment:
         return "\n".join(lines) + "\n"
 
 
-def _find_node(nodes, module) -> int:
-    """The index of the node isomorphic to the indecomposable module, or -1."""
-    for i, node in enumerate(nodes):
-        if node.dims == module.dims and _indec_iso(node, module):
-            return i
-    return -1
-
-
 def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     """Gather AR-quiver components touching the projectives, up to node_cap.
 
@@ -216,7 +208,7 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
         nonlocal reason
         if m.is_zero():
             return None
-        i = _find_node(nodes, m)
+        i = find_isomorphic(nodes, m)
         if i >= 0:
             return i
         if len(nodes) >= node_cap or m.total_dim > dim_cap:

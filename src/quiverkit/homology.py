@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, solve_many
+from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, lincomb, solve_many
 from quiverkit.repmod import (
     Module,
     ModuleMap,
@@ -48,7 +47,7 @@ from quiverkit.repmod import (
     projective_cover,
     projective_sum,
     psum_map,
-    right_multiples,
+    right_action,
     simple,
     zero_module,
 )
@@ -145,26 +144,18 @@ def hom_matrix(d: ModuleMap, src, tgt, n: Module) -> Matrix:
     to those of psi o d.  Its (beta, alpha) block is sum_k c_k R_k, where
     the c_k are `tgt.parts`[beta][alpha] and R_k is the right action of the
     k-th basis element from v_alpha to w_beta, N at v_alpha -> N at w_beta,
-    read from `right_multiples` of each unit vector of N at v_alpha."""
+    read from `right_action`."""
     alg = n.algebra
     f = alg.field
-    z, one = f.zero(), f.one()
-    right = {v: [right_multiples(n, v, [one if j == i else z for j in range(n.dims[v])])
-                 for i in range(n.dims[v])] for v in set(tgt.verts)}
-    row_at = list(accumulate((n.dims[w] for w in src.verts), initial=0))
-    col_at = list(accumulate((n.dims[v] for v in tgt.verts), initial=0))
-    data = [[z] * col_at[-1] for _ in range(row_at[-1])]
-    for beta, (w, parts) in enumerate(zip(src.verts, tgt.parts(d, src))):
-        rows = data[row_at[beta]:row_at[beta + 1]]
-        for alpha, (v, coeffs) in enumerate(zip(tgt.verts, parts)):
-            for col, images in enumerate(right[v], col_at[alpha]):
-                ks = [k for k in images if alg.target[k] == w]
-                for k, c in zip(ks, coeffs):
-                    if c:
-                        for row, x in zip(rows, images[k]):
-                            if x:
-                                row[col] = f.add(row[col], f.mul(c, x))
-    return Matrix.wrap(f, data, row_at[-1], col_at[-1])
+    right = {v: right_action(n, v) for v in set(tgt.verts)}
+    data = []
+    for w, parts in zip(src.verts, tgt.parts(d, src)):
+        blocks = []
+        for v, coeffs in zip(tgt.verts, parts):
+            into_w = [r for k, r in right[v].items() if alg.target[k] == w]
+            blocks.append(lincomb(f, n.dims[w], n.dims[v], zip(coeffs, into_w)))
+        data += [[x for b in blocks for x in b.data[i]] for i in range(n.dims[w])]
+    return Matrix.wrap(f, data, len(data), sum(n.dims[v] for v in tgt.verts))
 
 
 @dataclass
@@ -311,10 +302,10 @@ def almost_split_middle(y: Module, ty: Module, res: Resolution) -> Module:
     reps = ext.reps
     xi = reps[0]
     p0, p1 = res.terms[0], res.terms[1]
-    ends = hom_basis(ty, ty) if len(reps) > 1 else []
-    if len(ends) > 1:
+    if len(reps) > 1:
         # the rows of rho acting on the classes, for rho in rad End(tau Y)
-        rows = [row for rho in end_radical_basis(ends) for row in Matrix.from_columns(
+        rad = end_radical_basis(hom_basis(ty, ty))
+        rows = [row for rho in rad for row in Matrix.from_columns(
             f, [ext.classes(rho.compose(r)) for r in reps], len(reps)).data]
         socle = kernel_basis(Matrix(f, rows, len(rows), len(reps)))
         if not socle:
@@ -342,7 +333,6 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
     The generators at one vertex are solved together, by one `solve_many`
     of [post_v | wants].
     """
-    f = g.source.algebra.field
     lifts = []
     prev = None
     for k in range(upto + 1):
@@ -358,7 +348,8 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             first, outer = res_src.diffs[k - 1], prev
             post = res_tgt.diffs[k - 1] if k - 1 < len(res_tgt.diffs) else None
         # the generator images of outer o first, read without composing; None
-        # when the previous lift was forced zero, as is this one
+        # when the previous lift was forced zero, which happens only after
+        # a resolution has ended, so this degree lacks a target term too
         wants = None if outer is None else [
             outer.blocks[v].apply(x) for v, x in zip(pk_s.verts, pk_s.generator_images(first))]
         if pk_t is None or pk_t.module.is_zero():
@@ -369,19 +360,16 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             lifts.append(None)
             prev = None
             continue
-        if wants is None:
-            images = [[f.zero()] * pk_t.module.dims[v] for v in pk_s.verts]
-        elif post is None:
+        if post is None:
             raise HomologyError("missing differential in the target resolution")
-        else:
-            images = [None] * len(wants)
-            for v in sorted(set(pk_s.verts)):
-                at_v = [c for c, w in enumerate(pk_s.verts) if w == v]
-                xs = solve_many(post.blocks[v], [wants[c] for c in at_v])
-                if xs is None:
-                    raise HomologyError("lifting system is infeasible")
-                for c, x in zip(at_v, xs):
-                    images[c] = x
+        images = [None] * len(wants)
+        for v in sorted(set(pk_s.verts)):
+            at_v = [c for c, w in enumerate(pk_s.verts) if w == v]
+            xs = solve_many(post.blocks[v], [wants[c] for c in at_v])
+            if xs is None:
+                raise HomologyError("lifting system is infeasible")
+            for c, x in zip(at_v, xs):
+                images[c] = x
         prev = psum_map(pk_s, pk_t.module, images)
         lifts.append(prev)
     return lifts

@@ -7,7 +7,7 @@ series, projective covers, duality, decomposition -- is exact linear
 algebra over the algebra's field.  Basis elements act through arrow words:
 `right_multiples` pushes one vector, and `right_action` gives the matrix of
 each basis element's action, the one table that validation, restriction,
-annihilators and the extensions read.
+annihilators, Hom(d, N) in `homology.hom_matrix` and the extensions read.
 
 Submodules and quotients take the reduced echelon basis of each span: a
 vector of the span has its coordinates at the pivot columns, and a
@@ -17,6 +17,7 @@ quotient's basis is the classes of the unit vectors at the free columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from quiverkit.algebra import BasedAlgebra
 from quiverkit.linalg import (
@@ -691,8 +692,8 @@ def end_radical_basis(ends):
     End(M): the kernel of the trace form (x, y) -> tr(xy) on M.  Valid in
     characteristic 0 and for p > dim M: an x in the kernel has tr(x^k) = 0
     for every k <= dim M, which by Newton's identities forces x to be
-    nilpotent."""
-    if not ends:
+    nilpotent.  End(M) = k.id, a brick, has radical 0 in every field."""
+    if len(ends) < 2:
         return []
     m = ends[0].source
     n = len(ends)
@@ -701,14 +702,14 @@ def end_radical_basis(ends):
     return [combine_maps(coords, ends, m, m) for coords in kernel_basis(gram)]
 
 
-def _indec_iso(m: Module, n: Module) -> bool:
-    """Isomorphism test for modules known to be indecomposable: any basis
-    of Hom between isomorphic indecomposables contains an isomorphism."""
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    return any(h.is_invertible() for h in hom_basis(m, n))
+def find_isomorphic(mods, m: Module) -> int:
+    """The index of the first of mods isomorphic to the indecomposable m, or
+    -1: any basis of Hom between isomorphic indecomposables contains an
+    isomorphism."""
+    for i, x in enumerate(mods):
+        if x.dims == m.dims and any(h.is_invertible() for h in hom_basis(x, m)):
+            return i
+    return -1
 
 
 def _fitting_split(m: Module, f: ModuleMap):
@@ -716,7 +717,8 @@ def _fitting_split(m: Module, f: ModuleMap):
 
     f acts vertex by vertex, and on a space of dimension d the kernel and
     image of f^n are stable from n = d on; s squarings, with 2^s > max(dims),
-    reach such a power N = 2^s.
+    reach such a power N = 2^s.  There ker and im meet in 0, so by
+    rank-nullity M is their direct sum.
     """
     power = f
     for _ in range(max(m.dims).bit_length()):
@@ -725,8 +727,6 @@ def _fitting_split(m: Module, f: ModuleMap):
     if ker.total_dim == 0 or ker.total_dim == m.total_dim:
         return None
     img, _ = submodule_from_spans(m, image_spans(power), label=f"{m.label}''")
-    if ker.total_dim + img.total_dim != m.total_dim:
-        return None
     return ker, img
 
 
@@ -742,12 +742,10 @@ def _indecomposable_pieces(m: Module):
         return [m]
     f = m.algebra.field
     one = f.one()
-    candidates = list(ends)
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            for c in (one, f.neg(one)):
-                candidates.append(combine_maps((one, c), (ends[i], ends[j]), m, m))
-    for cand in candidates:
+    # Fitting candidates: the basis, then each e_i +- e_j, built as reached
+    pairs = (combine_maps((one, c), pair, m, m)
+             for pair in combinations(ends, 2) for c in (one, f.neg(one)))
+    for cand in chain(ends, pairs):
         split = _fitting_split(m, cand)
         if split is not None:
             a, b = split
@@ -764,22 +762,22 @@ def _indecomposable_pieces(m: Module):
 
 def decompose(m: Module):
     """Indecomposable summands with multiplicities, [(module, mult), ...]."""
-    pieces = _indecomposable_pieces(m)
-    out = []
-    for p in pieces:
-        for i, (q, mult) in enumerate(out):
-            if _indec_iso(p, q):
-                out[i] = (q, mult + 1)
-                break
+    classes, mults = [], []
+    for p in _indecomposable_pieces(m):
+        i = find_isomorphic(classes, p)
+        if i >= 0:
+            mults[i] += 1
         else:
-            out.append((p, 1))
-    return out
+            classes.append(p)
+            mults.append(1)
+    return list(zip(classes, mults))
 
 
 def is_isomorphic(m: Module, n: Module) -> bool:
     if m.algebra is not n.algebra:
         raise ModuleError("modules over different algebras")
-    if _indec_iso(m, n):
+    # an isomorphism in the Hom basis decides it, decomposable or not
+    if find_isomorphic([m], n) == 0:
         return True
     if m.dims != n.dims:
         return False
@@ -787,13 +785,12 @@ def is_isomorphic(m: Module, n: Module) -> bool:
     dn = decompose(n)
     if len(dm) != len(dn):
         return False
-    used = [False] * len(dn)
+    # the classes of one decomposition are pairwise non-isomorphic, so the
+    # match of each class of dm is unique
+    classes = [q for q, _ in dn]
     for p, mult in dm:
-        for i, (q, mult2) in enumerate(dn):
-            if not used[i] and mult == mult2 and _indec_iso(p, q):
-                used[i] = True
-                break
-        else:
+        i = find_isomorphic(classes, p)
+        if i < 0 or dn[i][1] != mult:
             return False
     return True
 

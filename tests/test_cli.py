@@ -191,13 +191,20 @@ def test_module_json_file_argument(capsys, tmp_path):
 
 
 def test_decomposition_error_is_a_domain_error(capsys, tmp_path):
-    # over GF(3) the trace-form radical cannot certify the summands of
-    # P(1)+P(1) for k[x]/(x^3), so decomposition stops with an error
+    # P(1)+P(1) over k[x]/(x^3) lies on no local slice: the extension stops
+    # with an ARQuiverError before any decomposition can fail
     p = tmp_path / "loop.q"
     p.write_text("field: gf(3)\nvertices: 1\narrows: x: 1 -> 1\nrelations: x*x*x\n")
     code, out, err = run(capsys, "extend", str(p), "P(1)+P(1)")
     assert code == 1
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    # over GF(3) the knit of this B' meets a module whose indecomposability
+    # neither a Fitting split, a simple top nor the trace form decides
+    code, out, err = run(capsys, "--field", "gf:3", "extend", _fixture("d4_clustertilted.q"),
+                         "P(1)+I(2)+I(3)", "--slice", "1/2 3/4,1/2,1/3,1/2 3")
+    assert code == 1
+    assert err.startswith("error: could not certify indecomposability")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_knit_names_the_tripped_cap(capsys):

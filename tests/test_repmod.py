@@ -4,6 +4,7 @@ import json
 import pytest
 
 from quiverkit.repmod import (
+    Module,
     ModuleError,
     decompose,
     direct_sum,
@@ -170,6 +171,43 @@ def test_fitting_split_squares_past_the_largest_vertex_dimension(field):
     p = projective(a, "1")
     assert p.dims == (3,)
     assert _fitting_split(p, ModuleMap(p, p, [p.mats["x"]])) is None
+
+
+def _kronecker(field):
+    from quiverkit.algebra import build_algebra
+    from quiverkit.quiver import parse_presentation
+    return build_algebra(parse_presentation(
+        f"field: {field}\nvertices: 1 2\narrows: a: 1 -> 2, b: 1 -> 2\n"))
+
+
+def _kronecker_module(a, b_action):
+    """The Kronecker module (k^n, k^n; a = id, b = b_action)."""
+    from quiverkit.linalg import Matrix
+    n = len(b_action)
+    return Module(a, [n, n], {"a": Matrix.identity(a.field, n),
+                              "b": Matrix.from_int_rows(a.field, b_action)})
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(3)", "gf(32003)"])
+def test_isomorphism_of_sums_with_equal_dimension_vectors(field):
+    # X_0 and X_1 have one dimension vector, so only the matching of the
+    # classes and their multiplicities tells these sums apart
+    a = _kronecker(field)
+    x0, x1 = _kronecker_module(a, [[0]]), _kronecker_module(a, [[1]])
+    assert not is_isomorphic(direct_sum(a, [x0, x0, x1]), direct_sum(a, [x0, x1, x1]))
+    assert is_isomorphic(direct_sum(a, [x0, x1, x0]), direct_sum(a, [x1, x0, x0]))
+    assert sorted(mult for _, mult in decompose(direct_sum(a, [x0, x1, x0]))) == [1, 2]
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(3)", "gf(5)", "gf(7)"])
+def test_decomposition_refuses_an_uncertified_module(field):
+    # End of (k^2, k^2; id, J) with J^2 = -id is k[x]/(x^2 + 1): id, J and
+    # id +- J are all invertible, so no Fitting candidate splits it, and its
+    # top is not simple; over GF(5), where x^2 + 1 factors, it is a sum of
+    # two modules all the same
+    from quiverkit.repmod import DecompositionError
+    with pytest.raises(DecompositionError):
+        decompose(_kronecker_module(_kronecker(field), [[0, -1], [1, 0]]))
 
 
 def test_compose_checks_block_shapes_at_an_empty_vertex(alg_b):
