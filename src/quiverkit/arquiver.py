@@ -60,7 +60,9 @@ class ARQuiverError(Exception):
 class ARFragment:
     """A finite piece of the AR quiver.
 
-    nodes hold indecomposable representatives (first found wins).
+    nodes hold indecomposable representatives (first found wins).  labels
+    are computed on first read: each node's `loewy_label`, with "#k" added
+    to the k-th node (k >= 2, in node order) that has the same Loewy label.
     arrows[(i, j)] is the multiplicity, at least 1, of node i in rad P when
     node j is P, of node j in I/soc when node i is I, and otherwise of node i
     in the middle of the almost split sequence ending at node j; a capped
@@ -73,14 +75,20 @@ class ARFragment:
 
     algebra: BasedAlgebra
     nodes: list
-    labels: list
     arrows: dict
     tau_links: dict
     projective_at: dict   # node index -> vertex id
     injective_at: dict
     incomplete_reason: str
+    _labels: list = dataclass_field(default=None, repr=False)
     _reach: list = dataclass_field(default=None, repr=False)
     _sectional: list = dataclass_field(default=None, repr=False)
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = _node_labels(self.nodes)
+        return self._labels
 
     @property
     def complete(self):
@@ -187,6 +195,16 @@ class ARFragment:
         return "\n".join(lines) + "\n"
 
 
+def _node_labels(nodes):
+    """The Loewy label of each node, "#k" added to its k-th repeat."""
+    labels, count = [], {}
+    for m in nodes:
+        lab = loewy_label(m)
+        count[lab] = count.get(lab, 0) + 1
+        labels.append(lab if count[lab] == 1 else f"{lab}#{count[lab]}")
+    return labels
+
+
 def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     """Gather AR-quiver components touching the projectives, up to node_cap.
 
@@ -198,8 +216,6 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
         raise ARQuiverError("node_cap smaller than the number of vertices")
     nv = len(a.vertices)
     nodes = []
-    labels = []
-    label_count = {}
     projective_at = {}
     injective_at = {}
     reason = None  # the first cap that tripped
@@ -215,14 +231,7 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             reason = reason or ("node_cap" if len(nodes) >= node_cap
                                 else f"dim_cap (a module of dimension {m.total_dim})")
             return -1
-        lab = loewy_label(m)
-        if lab in label_count:
-            label_count[lab] += 1
-            lab = f"{lab}#{label_count[lab]}"
-        else:
-            label_count[lab] = 1
         nodes.append(m)
-        labels.append(lab)
         return len(nodes) - 1
 
     # the seeds come first, so a later module isomorphic to P(v) or I(v) is
@@ -274,8 +283,8 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             found = [("in", s, mult) for s, mult in decompose(almost_split_middle(y, ty, res))]
             if [sum(mult * s.dims[v] for _, s, mult in found) for v in range(nv)] != [
                     y.dims[v] + ty.dims[v] for v in range(nv)]:
-                raise ARQuiverError(f"the almost split sequence ending at {labels[i]} "
-                                    "does not balance")
+                raise ARQuiverError("the almost split sequence ending at "
+                                    f"{_node_labels(nodes)[i]} does not balance")
         for kind, mod, mult in found:
             idx = add_node(mod)
             if idx == -1:
@@ -286,6 +295,7 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
                 # an arrow found from both ends must have one multiplicity
                 key = (idx, i) if kind == "in" else (i, idx)
                 if arrows.setdefault(key, mult) != mult:
+                    labels = _node_labels(nodes)
                     raise ARQuiverError(f"the arrow {labels[key[0]]} -> {labels[key[1]]} "
                                         "has two multiplicities")
             elif kind == "tau":
@@ -295,7 +305,7 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             if idx not in processed:
                 queue.append(idx)
 
-    return ARFragment(a, nodes, labels, arrows, tau_of,
+    return ARFragment(a, nodes, arrows, tau_of,
                       projective_at, injective_at, reason)
 
 

@@ -6,6 +6,9 @@ All Ext computations run over minimal projective resolutions; injective
 arguments are converted through the standard duality D into projective
 computations over the opposite algebra.  Resolutions are cached per
 (algebra, module) key; a cache hit is indistinguishable from recomputing.
+A syzygy is computed when the resolution is extended past it, or when
+`proj_dim` asks whether the last one vanishes: a resolution out to P_k
+holds the k syzygies its terms cover, not the one after.
 
 Ext in each degree k >= 1 is one `ExtGroup`: the term P_k, cocycle
 representatives of a basis in generator coordinates (and, on demand, as
@@ -66,35 +69,47 @@ class Resolution:
     Consecutive differentials compose to zero and every differential's
     image lies in the radical of its target (minimality by construction,
     each term being a projective cover).
+
+    kernels[k] is the syzygy ker(terms[k] -> terms[k-1] or the module) with
+    its inclusion into terms[k].  The last one is computed from cover, the
+    map of terms[-1] onto its image, only when it is read: when the
+    resolution is extended past it, or by `proj_dim`.  cover is None once
+    that kernel is in kernels.
     """
 
     module: Module
     terms: list
     diffs: list
     aug: ModuleMap
-    kernels: list  # (kernel module, inclusion into terms[k]) used to extend
+    kernels: list  # (kernel module, inclusion into terms[k]), computed on read
+    cover: ModuleMap = None  # terms[-1] ->> its image, until its kernel is read
 
     def term_module(self, k):
         if k < len(self.terms):
             return self.terms[k].module
         return None
 
+    def last_kernel(self):
+        """kernels[-1], the kernel of the last term's cover."""
+        if self.cover is not None:
+            self.kernels.append(kernel_of(self.cover, label="syzygy"))
+            self.cover = None
+        return self.kernels[-1]
+
     def extend(self, length):
         """Extend out to terms[length] or a vanishing kernel; returns self."""
-        while len(self.terms) <= length and not self.kernels[-1][0].is_zero():
+        while len(self.terms) <= length and not self.last_kernel()[0].is_zero():
             ker, incl = self.kernels[-1]
-            pk, cover = projective_cover(ker)
+            pk, self.cover = projective_cover(ker)
             self.terms.append(pk)
-            self.diffs.append(incl.compose(cover))
-            # the new kernel sits inside the new projective term
-            self.kernels.append(kernel_of(cover, label="syzygy"))
+            self.diffs.append(incl.compose(self.cover))
         return self
 
 
 def start_resolution(m: Module) -> Resolution:
-    """The uncached start of m's resolution: its cover and that kernel."""
+    """The uncached start of m's resolution: its cover."""
     p0, epi = projective_cover(m)
-    return Resolution(m, [p0], [], epi, [kernel_of(epi, label="syzygy")])
+    return Resolution(m, [p0], [], epi, [], epi)
 
 
 def min_resolution(m: Module, length: int) -> Resolution:
@@ -111,7 +126,7 @@ def proj_dim(m: Module, cap: int = 10):
     if m.is_zero():
         return 0
     res = min_resolution(m, cap)
-    if res.kernels[-1][0].is_zero():
+    if res.last_kernel()[0].is_zero():
         return len(res.terms) - 1
     return None
 
@@ -342,11 +357,7 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             lifts.append(None)
             prev = None
             continue
-        if k == 0:
-            first, outer, post = res_src.aug, g, res_tgt.aug
-        else:
-            first, outer = res_src.diffs[k - 1], prev
-            post = res_tgt.diffs[k - 1] if k - 1 < len(res_tgt.diffs) else None
+        first, outer = (res_src.diffs[k - 1], prev) if k else (res_src.aug, g)
         # the generator images of outer o first, read without composing; None
         # when the previous lift was forced zero, which happens only after
         # a resolution has ended, so this degree lacks a target term too
@@ -360,8 +371,7 @@ def lift_chain_map(g: ModuleMap, res_src: Resolution, res_tgt: Resolution, upto:
             lifts.append(None)
             prev = None
             continue
-        if post is None:
-            raise HomologyError("missing differential in the target resolution")
+        post = res_tgt.diffs[k - 1] if k else res_tgt.aug
         images = [None] * len(wants)
         for v in sorted(set(pk_s.verts)):
             at_v = [c for c, w in enumerate(pk_s.verts) if w == v]

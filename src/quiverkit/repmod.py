@@ -358,9 +358,9 @@ def _unflatten_hom(m, n, flat):
     pos = 0
     for v in range(len(m.dims)):
         r, c = n.dims[v], m.dims[v]
-        data = [list(flat[pos + i * c: pos + (i + 1) * c]) for i in range(r)]
+        data = [flat[pos + i * c: pos + (i + 1) * c] for i in range(r)]
         pos += r * c
-        blocks.append(Matrix(f, data, r, c))
+        blocks.append(Matrix.wrap(f, data, r, c))
     return ModuleMap(m, n, blocks)
 
 
@@ -583,7 +583,10 @@ class ProjectiveSum:
 
 
 def projective_sum(a: BasedAlgebra, verts) -> ProjectiveSum:
+    """The sum of the P(v), v in verts; one summand is the shared P(v)."""
     mods = [projective(a, a.vertices[v]) for v in verts]
+    if len(mods) == 1:
+        return ProjectiveSum(a, list(verts), mods[0])
     label = "+".join(f"P({a.vertices[v]})" for v in verts)
     return ProjectiveSum(a, list(verts), direct_sum(a, mods, label=label or "P"))
 

@@ -555,3 +555,51 @@ def test_capped_fragment_carries_exact_arrows_only(cap):
     assert capped.arrows
     for (i, j), m in capped.arrows.items():
         assert full.arrows.get((i, j)) == m
+
+
+# ---------------------------------------------------------------------------
+# labels are computed on first read, by today's rule
+
+
+def _eager_labels(nodes):
+    """Oracle: each node's Loewy label, "#k" on its k-th repeat."""
+    from quiverkit.repmod import loewy_label
+    plain = [loewy_label(m) for m in nodes]
+    return [lab if lab not in plain[:i] else f"{lab}#{plain[:i].count(lab) + 1}"
+            for i, lab in enumerate(plain)]
+
+
+_LABEL_CASES = [pytest.param(name, field, id=f"{name}-{field}")
+                for name in ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
+                             "d5_clustertilted.q", "a31_clustertilted.q",
+                             "a31_onepoint_ext.q", "A6", "cyclic_6_4"]
+                for field in ("rational", "gf(3)")]
+
+
+@pytest.mark.parametrize("name,field", _LABEL_CASES)
+def test_knit_labels_on_first_read(name, field, monkeypatch):
+    # cap 24 closes every finite case here; past 24 nodes the GF(3) knit of
+    # a31_onepoint_ext raises DecompositionError (ROADMAP item 1)
+    import quiverkit.arquiver as arquiver
+    calls = []
+    real = arquiver.loewy_label
+    monkeypatch.setattr(arquiver, "loewy_label", lambda m: calls.append(m) or real(m))
+    frag = knit(_algebra_over(name, field), 24)
+    assert calls == []
+    labels = frag.labels
+    assert len(calls) == len(frag.nodes)
+    assert frag.labels is labels and len(calls) == len(frag.nodes)
+    assert labels == _eager_labels(frag.nodes)
+    assert frag.complete == (not name.startswith("a31"))
+
+
+def test_repeated_labels_are_numbered_in_node_order(alg_b):
+    # no knit here repeats a Loewy label, so the "#k" rule is checked on a
+    # fragment whose nodes repeat
+    from quiverkit.arquiver import ARFragment
+    s1, s2, p1 = simple(alg_b, "1"), simple(alg_b, "2"), projective(alg_b, "1")
+    frag = ARFragment(alg_b, [s1, p1, s1, s2, s1, p1], {}, {}, {}, {}, None)
+    lab = _eager_labels([p1])[0]
+    assert frag.labels == ["1", lab, "1#2", "2", "1#3", f"{lab}#2"]
+    assert frag.labels == _eager_labels(frag.nodes)
+    assert frag.node_by_label("1#3") == 4

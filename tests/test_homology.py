@@ -13,11 +13,13 @@ from quiverkit.homology import (
     lift_chain_map,
     min_resolution,
     proj_dim,
+    start_resolution,
     tau,
     tau_inv,
     transpose,
 )
 from quiverkit.repmod import (
+    Module,
     combine_maps,
     direct_sum,
     dual_module,
@@ -28,6 +30,7 @@ from quiverkit.repmod import (
     projective_sum,
     simple,
 )
+from test_repmod import FINITE_FIXTURES, _fixture_over
 from test_yoneda_route import _unit_maps
 
 
@@ -273,3 +276,68 @@ def test_lift_chain_map_identity(alg_c):
             assert lam is None
         else:
             assert lam is not None and lam.is_invertible()
+
+
+# ---------------------------------------------------------------------------
+# a syzygy is computed when its resolution is extended past it
+
+
+def _shape(res):
+    """The terms and differentials of res, comparable across algebras."""
+    return ([(t.verts, t.module.key()) for t in res.terms],
+            [[b.data for b in d.blocks] for d in [res.aug] + res.diffs])
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)"])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_resolution_grown_in_steps_equals_one_grown_at_once(name, field):
+    fresh = _fixture_over(name, field)
+    for m in knit(_fixture_over(name, field), 40).nodes:
+        res = start_resolution(m)
+        for length in (1, 2, 3):
+            res.extend(length)
+            assert len(res.diffs) == len(res.terms) - 1
+            assert len(res.terms) - 1 <= len(res.kernels) <= len(res.terms)
+        ref = min_resolution(Module(fresh, m.dims, m.mats), 3)
+        assert len(ref.diffs) == len(ref.terms) - 1
+        assert _shape(res) == _shape(ref)
+
+
+def _eager_proj_dim(m, cap):
+    """Oracle: the least k whose (k+1)-th syzygy vanishes, syzygy by syzygy."""
+    from quiverkit.repmod import kernel_of, projective_cover
+    syz = m
+    for k in range(cap + 1):
+        syz, _ = kernel_of(projective_cover(syz)[1])
+        if syz.is_zero():
+            return k
+    return None
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)"])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_proj_dim_reads_the_last_syzygy(name, field):
+    nodes = knit(_fixture_over(name, field), 40).nodes
+    for cap in (1, 2, 10):
+        fresh = _fixture_over(name, field)
+        for m in nodes:
+            assert proj_dim(Module(fresh, m.dims, m.mats), cap) == _eager_proj_dim(m, cap)
+
+
+def test_global_dims_of_the_euler_form_algebras():
+    from test_euler_form import NAMES, _algebra
+    assert [global_dim(_algebra(name, "rational")) for name in NAMES] == [1, 5, 2, 2]
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)"])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_transpose_computes_one_kernel(name, field, monkeypatch):
+    import quiverkit.homology as homology
+    nodes = knit(_fixture_over(name, field), 40).nodes
+    calls = []
+    real = homology.kernel_of
+    monkeypatch.setattr(homology, "kernel_of", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for m in nodes:
+        calls.clear()
+        transpose(m)
+        assert len(calls) == 1

@@ -409,6 +409,21 @@ def test_projective_cover_reference_with_multiterm_expressions(field):
 
 
 @pytest.mark.parametrize("field", ["rational", "gf(3)"])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_one_summand_projective_sum_is_the_shared_projective(name, field):
+    from quiverkit.repmod import projective_sum
+    a = _fixture_over(name, field)
+    n = len(a.vertices)
+    for v in range(n):
+        assert projective_sum(a, [v]).module is projective(a, a.vertices[v])
+        w = (v + 1) % n
+        two = projective_sum(a, [v, w]).module
+        ref = direct_sum(a, [projective(a, a.vertices[v]), projective(a, a.vertices[w])])
+        assert (two.key(), two.label) == (ref.key(), f"P({a.vertices[v]})+P({a.vertices[w]})")
+    assert sorted(a._projectives) == list(range(n))
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(3)"])
 def test_projective_built_once_per_algebra(field):
     from quiverkit.repmod import _build_projective
     a = _fixture_over("d5_clustertilted.q", field)
