@@ -15,6 +15,10 @@ The axiom checkers evaluate slice, local-slice and (left-)section
 conditions literally on a complete fragment and report every violated
 axiom with witnesses; they refuse incomplete fragments rather than ever
 reporting a false positive.
+
+The cluster-tilted extension pipeline moves modules between B, the
+quotient of B by a local slice's annihilator and the extended algebra B',
+with `restrict_along_quotient` and `transport_module`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from quiverkit.algebra import (
 )
 from quiverkit.extensions import one_point_extension, relation_extension
 from quiverkit.homology import almost_split_middle, start_resolution, tau, tau_inv
-from quiverkit.linalg import Matrix, echelon, kernel_basis
+from quiverkit.linalg import Matrix, echelon, kernel_basis, lincomb
 from quiverkit.repmod import (
     Module,
+    ModuleError,
     decompose,
     find_isomorphic,
     hom_basis,
@@ -42,13 +47,11 @@ from quiverkit.repmod import (
     loewy_label,
     projective,
     radical_of,
-    restrict_along_quotient,
     right_action,
     simple,
     socle_of,
     socle_quotient,
     top_of,
-    transport_module,
 )
 
 
@@ -543,6 +546,81 @@ def tilted_quotient(a: BasedAlgebra, sigma_modules) -> TiltedQuotient:
         raise ARQuiverError("annihilator failed the two-sided check")
     quotient = quotient_algebra(a, ideal) if ideal.basis else a
     return TiltedQuotient(criterion, ideal, quotient)
+
+
+# ---------------------------------------------------------------------------
+# transport between related algebras
+
+
+def restrict_along_quotient(m: Module, quot: BasedAlgebra, label=None) -> Module:
+    """View a module annihilated by the quotient ideal as a module over the
+    quotient algebra (whose basis is a subset of the parent's); raises
+    ModuleError when the ideal does not annihilate it."""
+    a = m.algebra
+    if quot.parent is not a:
+        raise ModuleError("not a quotient of the module's algebra")
+    f = a.field
+    acts = [right_action(m, v) for v in range(len(a.vertices))]
+    # sum_k x_k R_k = 0 at every pair of vertices, for x in a basis of the ideal
+    for v, at_v in enumerate(acts):
+        for x in quot.ideal.basis:
+            for w in range(len(a.vertices)):
+                if not lincomb(f, m.dims[w], m.dims[v], [
+                        (x[k], r) for k, r in at_v.items() if a.target[k] == w]).is_zero():
+                    raise ModuleError("the quotient's ideal does not annihilate the module")
+    dims = [m.dims[a.vertex_index(v)] for v in quot.vertices]
+    mats = {}
+    for rep in quot.arrow_reps:
+        src = a.vertex_index(quot.vertices[rep.source])
+        tgt = a.vertex_index(quot.vertices[rep.target])
+        mats[rep.name] = lincomb(f, m.dims[tgt], m.dims[src], [
+            (c, acts[src][quot.parent_basis[pos]]) for pos, c in enumerate(rep.vector) if c])
+    return Module(quot, dims, mats, label=label or m.label)
+
+
+def transport_module(m: Module, target: BasedAlgebra) -> Module:
+    """Re-express a module over an algebra with matching vertex ids.
+
+    Arrows are matched by name when possible, otherwise by being the unique
+    arrow with the same (source, target); arrows of the target with no match
+    act as zero.  Raises when a nonzero action cannot be matched or the
+    match is ambiguous.
+    """
+    f = target.field
+    src_alg = m.algebra
+    old_index = {src_alg.vertices[i]: i for i in range(len(src_alg.vertices))}
+    dims = []
+    for v in target.vertices:
+        dims.append(m.dims[old_index[v]] if v in old_index else 0)
+    by_name = {r.name: r for r in src_alg.arrow_reps}
+    mats = {}
+    used = set()
+    for rep in target.arrow_reps:
+        sv = target.vertices[rep.source]
+        tv = target.vertices[rep.target]
+        blk = None
+        if rep.name in by_name:
+            old = by_name[rep.name]
+            if (src_alg.vertices[old.source], src_alg.vertices[old.target]) == (sv, tv):
+                blk = m.mats[rep.name]
+                used.add(rep.name)
+        if blk is None and sv in old_index and tv in old_index:
+            cands = [r for r in src_alg.arrow_reps
+                     if (src_alg.vertices[r.source], src_alg.vertices[r.target]) == (sv, tv)
+                     and r.name not in used]
+            if len(cands) == 1:
+                blk = m.mats[cands[0].name]
+                used.add(cands[0].name)
+            elif len(cands) > 1:
+                raise ModuleError(f"ambiguous arrow match for {rep.name}")
+        if blk is None:
+            blk = Matrix.zeros(f, dims[rep.target], dims[rep.source])
+        mats[rep.name] = blk
+    # every nonzero action of the source must have been carried over
+    for r in src_alg.arrow_reps:
+        if r.name not in used and not m.mats[r.name].is_zero():
+            raise ModuleError(f"arrow {r.name} with nonzero action has no counterpart")
+    return Module(target, dims, mats, label=m.label)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ def main(argv=None):
     parser.add_argument("--field", help="override the presentation field: rational or gf:<p>")
     parser.add_argument("--format", choices=["text", "json", "dot"], default="text")
     parser.add_argument("--cap", type=int, default=60,
-                        help="node cap for knitting / length cap for resolutions")
+                        help="node cap of the AR-quiver knit (knit, check-*, "
+                             "find-local-slices, extend)")
     parser.add_argument("--depth", type=int, default=8, help="mutation search depth")
     sub = parser.add_subparsers(dest="verb", required=True)
 

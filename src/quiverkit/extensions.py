@@ -22,7 +22,6 @@ bimodule E, built by one constructor (`_square_zero_extension`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from quiverkit.algebra import (
     ArrowRep,
@@ -269,10 +268,8 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
         for j in range(nverts):
             src = blocks[(t, j)]
             if src.cocycles:
-                ends = list(accumulate((projs[t].dims[v] for v in src.term.verts), initial=0))
                 columns[j][rep.name] = action((t, j), (s, j), [
-                    [y for v, a, b in zip(src.term.verts, ends, ends[1:])
-                     for y in lam[v].apply(coords[a:b])] for coords in src.cocycles])
+                    src.term.postcompose(lam, coords) for coords in src.cocycles])
         p2 = resolutions[t].term_module(2)
         if not dimE or p2 is None or p2.is_zero():
             continue

@@ -6,9 +6,13 @@ All Ext computations run over minimal projective resolutions; injective
 arguments are converted through the standard duality D into projective
 computations over the opposite algebra.  Resolutions are cached per
 (algebra, module) key; a cache hit is indistinguishable from recomputing.
-A syzygy is computed when the resolution is extended past it, or when
-`proj_dim` asks whether the last one vanishes: a resolution out to P_k
-holds the k syzygies its terms cover, not the one after.
+A resolution is a chain of differentials between projective sums, computed
+inside the projectives: no syzygy is built as a module.  The kernel of the
+map out of a term is held as its reduced echelon span at each vertex
+(`repmod.kernel_span`), computed when read; the next differential covers it
+(`repmod.kernel_cover`), Ext^k reads it as what its cocycles vanish on, and
+`proj_dim` asks whether the last one is zero, so a resolution out to P_k
+builds no term past P_k.
 
 Ext in each degree k >= 1 is one `ExtGroup`: the term P_k, cocycle
 representatives of a basis in generator coordinates (and, on demand, as
@@ -24,15 +28,16 @@ transpose are read from or built out of those images
 (`ProjectiveSum.generator_images`, `ProjectiveSum.parts`, `psum_map`), with
 no Hom system to solve.  A chain lift reads the generator images of each
 composite it lifts without composing maps, and solves for all generators at
-one vertex with one elimination.  Precomposition with a differential is
-linear in them: `hom_matrix` is Hom(d, N) in generator coordinates, and Ext
-cocycles and coboundaries are its kernel and its columns.  `hom_basis` serves Ext^0
-and End(tau Y) only.
+one vertex with one elimination.  A map's values are linear in them:
+`value_matrix` takes them to a map's values at given vectors, Ext cocycles
+are the kernel of its values on the kernel span, and `hom_matrix`, Hom(d, N),
+gives the coboundaries as its columns.  `hom_basis` serves Ext^0 and
+End(tau Y) only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from quiverkit.algebra import BasedAlgebra
@@ -41,12 +46,12 @@ from quiverkit.repmod import (
     Module,
     ModuleMap,
     cokernel_of,
-    combine_maps,
     direct_sum,
     dual_module,
     end_radical_basis,
     hom_basis,
-    kernel_of,
+    kernel_cover,
+    kernel_span,
     projective_cover,
     projective_sum,
     psum_map,
@@ -62,54 +67,59 @@ class HomologyError(Exception):
 
 @dataclass
 class Resolution:
-    """An initial segment of a minimal projective resolution.
+    """An initial segment of a minimal projective resolution, as a chain of
+    differentials between projective sums.
 
     terms[k] is the k-th projective (a ProjectiveSum), diffs[k] the map
     terms[k+1] -> terms[k], and aug the augmentation terms[0] ->> module.
     Consecutive differentials compose to zero and every differential's
     image lies in the radical of its target (minimality by construction,
-    each term being a projective cover).
+    each differential being a projective cover of its image composed with
+    the image's inclusion, `kernel_cover`).
 
-    kernels[k] is the syzygy ker(terms[k] -> terms[k-1] or the module) with
-    its inclusion into terms[k].  The last one is computed from cover, the
-    map of terms[-1] onto its image, only when it is read: when the
-    resolution is extended past it, or by `proj_dim`.  cover is None once
-    that kernel is in kernels.
+    spans[k] is the kernel of the map out of terms[k] (aug, or diffs[k-1]),
+    as its reduced echelon span at each vertex (`kernel_span`).  `span`
+    computes it when it is read: when the resolution is extended past
+    terms[k], by Ext^k, or by `proj_dim`.
     """
 
     module: Module
     terms: list
     diffs: list
     aug: ModuleMap
-    kernels: list  # (kernel module, inclusion into terms[k]), computed on read
-    cover: ModuleMap = None  # terms[-1] ->> its image, until its kernel is read
+    spans: list = dataclass_field(default_factory=list, init=False)  # computed on read
 
     def term_module(self, k):
         if k < len(self.terms):
             return self.terms[k].module
         return None
 
-    def last_kernel(self):
-        """kernels[-1], the kernel of the last term's cover."""
-        if self.cover is not None:
-            self.kernels.append(kernel_of(self.cover, label="syzygy"))
-            self.cover = None
-        return self.kernels[-1]
+    def span(self, k):
+        """spans[k], the kernel span of the map out of terms[k]."""
+        while len(self.spans) <= k:
+            j = len(self.spans)
+            self.spans.append(kernel_span(self.diffs[j - 1] if j else self.aug))
+        return self.spans[k]
+
+    def kernel_is_zero(self, k):
+        return not any(rows for rows, _ in self.span(k))
 
     def extend(self, length):
         """Extend out to terms[length] or a vanishing kernel; returns self."""
-        while len(self.terms) <= length and not self.last_kernel()[0].is_zero():
-            ker, incl = self.kernels[-1]
-            pk, self.cover = projective_cover(ker)
+        while len(self.terms) <= length:
+            k = len(self.terms) - 1
+            if self.kernel_is_zero(k):
+                break
+            pk, d = kernel_cover(self.terms[k].module, self.spans[k])
             self.terms.append(pk)
-            self.diffs.append(incl.compose(self.cover))
+            self.diffs.append(d)
         return self
 
 
 def start_resolution(m: Module) -> Resolution:
     """The uncached start of m's resolution: its cover."""
     p0, epi = projective_cover(m)
-    return Resolution(m, [p0], [], epi, [], epi)
+    return Resolution(m, [p0], [], epi)
 
 
 def min_resolution(m: Module, length: int) -> Resolution:
@@ -126,7 +136,7 @@ def proj_dim(m: Module, cap: int = 10):
     if m.is_zero():
         return 0
     res = min_resolution(m, cap)
-    if res.last_kernel()[0].is_zero():
+    if res.kernel_is_zero(len(res.terms) - 1):
         return len(res.terms) - 1
     return None
 
@@ -153,37 +163,49 @@ def global_dim(a: BasedAlgebra, cap: int = 10):
 # Ext
 
 
+def value_matrix(psum, verts, vecs, n: Module) -> Matrix:
+    """The matrix taking the generator images of psi: psum -> N to the
+    values psi(vecs[i]), stacked, where vecs[i] is a vector of the projective
+    sum psum at vertex verts[i].  Its (i, alpha) block is sum_k c_k R_k,
+    where the c_k are `psum.parts`[i][alpha] and R_k is the right action of
+    the k-th basis element from v_alpha to w = verts[i], N at v_alpha -> N
+    at w, read from `right_action`."""
+    alg = n.algebra
+    f = alg.field
+    right = {}  # (v, w) -> the R_k from v to w, in basis order
+    for v in set(psum.verts):
+        for k, r in right_action(n, v).items():
+            right.setdefault((v, alg.target[k]), []).append(r)
+    data = []
+    for w, parts in zip(verts, psum.parts(verts, vecs)):
+        blocks = []
+        for v, coeffs in zip(psum.verts, parts):
+            blocks.append(lincomb(f, n.dims[w], n.dims[v], zip(coeffs, right.get((v, w), ()))))
+        data += [[x for b in blocks for x in b.data[i]] for i in range(n.dims[w])]
+    return Matrix.wrap(f, data, len(data), sum(n.dims[v] for v in psum.verts))
+
+
 def hom_matrix(d: ModuleMap, src, tgt, n: Module) -> Matrix:
     """Hom(d, N) in generator coordinates, for d: src -> tgt between
     projective sums: the matrix taking the generator images of psi: tgt -> N
-    to those of psi o d.  Its (beta, alpha) block is sum_k c_k R_k, where
-    the c_k are `tgt.parts`[beta][alpha] and R_k is the right action of the
-    k-th basis element from v_alpha to w_beta, N at v_alpha -> N at w_beta,
-    read from `right_action`."""
-    alg = n.algebra
-    f = alg.field
-    right = {v: right_action(n, v) for v in set(tgt.verts)}
-    data = []
-    for w, parts in zip(src.verts, tgt.parts(d, src)):
-        blocks = []
-        for v, coeffs in zip(tgt.verts, parts):
-            into_w = [r for k, r in right[v].items() if alg.target[k] == w]
-            blocks.append(lincomb(f, n.dims[w], n.dims[v], zip(coeffs, into_w)))
-        data += [[x for b in blocks for x in b.data[i]] for i in range(n.dims[w])]
-    return Matrix.wrap(f, data, len(data), sum(n.dims[v] for v in tgt.verts))
+    to those of psi o d, which are psi's values at d's generator images."""
+    return value_matrix(tgt, src.verts, src.generator_images(d), n)
 
 
 @dataclass
 class ExtGroup:
     """Ext^k(M, N), k >= 1, over a projective resolution of M.
 
-    Hom(P_k, N) is taken in generator coordinates: cocycles are the kernel
-    of `hom_matrix`(d_{k+1}), precomposition with d_{k+1}, and coboundaries
-    the columns of `hom_matrix`(d_k).  term is P_k (None past the
-    resolution's end) and reps are the cocycles of the kernel basis that
-    complete the coboundaries: their classes are a basis of Ext^k.
-    `classes_of` reads the classes of many cocycles, given in generator
-    coordinates, at once; `classes` reads one cocycle given as a map.
+    Hom(P_k, N) is taken in generator coordinates.  Cocycles are the maps
+    that vanish on the kernel of d_k: P_k -> P_{k-1}, which is the image of
+    d_{k+1}: the kernel of `value_matrix` at the resolution's kernel span,
+    so no P_{k+1} is needed.  Coboundaries are the columns of
+    `hom_matrix`(d_k).
+    term is P_k (None past the resolution's end) and reps are the cocycles
+    of the kernel basis that complete the coboundaries: their classes are a
+    basis of Ext^k.  `classes_of` reads the classes of many cocycles, given
+    in generator coordinates, at once; `classes` reads one cocycle given as
+    a map.
     """
 
     term: object
@@ -218,21 +240,22 @@ class ExtGroup:
 
 
 def ext_group(m: Module, n: Module, k: int, resolution: Resolution = None) -> ExtGroup:
-    """Ext^k(M, N) for k >= 1, over resolution (M's minimal one by default)."""
+    """Ext^k(M, N) for k >= 1, over resolution (M's minimal one by default),
+    extended out to P_k."""
     if k < 1:
         raise HomologyError("ext_group needs a degree of at least 1")
     if m.algebra is not n.algebra:
         raise HomologyError("modules over different algebras")
     f = m.algebra.field
-    res = resolution or min_resolution(m, k + 1)
+    res = resolution.extend(k) if resolution else min_resolution(m, k)
     pk = res.terms[k] if k < len(res.terms) else None
     nh = sum(n.dims[v] for v in pk.verts) if pk is not None else 0  # dim Hom(P_k, N)
     if not nh:
         return ExtGroup(pk, n, [], Matrix.zeros(f, 0, 0), 0)
-    if k + 1 < len(res.terms):
-        cocycles = kernel_basis(hom_matrix(res.diffs[k], res.terms[k + 1], pk, n))
-    else:
-        cocycles = kernel_basis(Matrix.zeros(f, 0, nh))
+    # the kernel span of d_k; psi has no values to vanish at a vertex where
+    # N is zero, so the rows there are skipped
+    at = [(w, row) for w, (rows, _) in enumerate(res.span(k)) if n.dims[w] for row in rows]
+    cocycles = kernel_basis(value_matrix(pk, [w for w, _ in at], [r for _, r in at], n))
     tracker = SpanTracker(f)
     bnd = hom_matrix(res.diffs[k - 1], pk, res.terms[k - 1], n)
     boundaries = [v for v in map(bnd.column, range(bnd.cols)) if tracker.add(v)]
@@ -273,7 +296,7 @@ def transpose(m: Module, res: Resolution = None) -> Module:
     # of q0 to these parts, side by side.
     q0 = projective_sum(op, p0.verts)
     q1 = projective_sum(op, p1.verts)
-    parts = p0.parts(d1, p1)
+    parts = p0.parts(p1.verts, p1.generator_images(d1))
     gen_images = [[x for part in parts for x in part[alpha]]
                   for alpha in range(len(p0.verts))]
     g = psum_map(q0, q1.module, gen_images)
@@ -313,21 +336,23 @@ def almost_split_middle(y: Module, ty: Module, res: Resolution) -> Module:
     """
     a = y.algebra
     f = a.field
-    ext = ext_group(y, ty, 1, resolution=res.extend(2))
-    reps = ext.reps
-    xi = reps[0]
+    ext = ext_group(y, ty, 1, resolution=res.extend(1))
     p0, p1 = res.terms[0], res.terms[1]
-    if len(reps) > 1:
-        # the rows of rho acting on the classes, for rho in rad End(tau Y)
+    coords = ext.cocycles[0]
+    if len(ext.cocycles) > 1:
+        # the rows of rho acting on the classes, for rho in rad End(tau Y):
+        # rho o r has the generator images of r pushed through rho
         rad = end_radical_basis(hom_basis(ty, ty))
         rows = [row for rho in rad for row in Matrix.from_columns(
-            f, [ext.classes(rho.compose(r)) for r in reps], len(reps)).data]
-        socle = kernel_basis(Matrix(f, rows, len(rows), len(reps)))
+            f, ext.classes_of([p1.postcompose(rho.blocks, r) for r in ext.cocycles]),
+            len(ext.cocycles)).data]
+        socle = kernel_basis(Matrix(f, rows, len(rows), len(ext.cocycles)))
         if not socle:
             raise HomologyError(
                 f"no almost split class ending at dimension vector {list(y.dims)} "
                 f"over {f.name()}: the trace form misses rad End(tau) there")
-        xi = combine_maps(socle[0], reps, p1.module, ty)
+        coords = Matrix.from_columns(f, ext.cocycles, len(coords)).apply(socle[0])
+    xi = p1.map_with_coordinates(ty, coords)
     blocks = [Matrix(f, d.data + x.data, cols=d.cols)
               for d, x in zip(res.diffs[0].blocks, xi.blocks)]
     pushout = ModuleMap(p1.module, direct_sum(a, [p0.module, ty]), blocks)

@@ -541,7 +541,10 @@ def find_acyclic_in_mutation_class(q: Quiver, max_depth: int):
     Visited quivers are deduplicated up to isomorphism by the key of
     canonical_form.  Returns the mutation sequence (list of vertex ids,
     shortest first in BFS order) or None when the bounded search exhausts.
+    A negative max_depth raises MutationError.
     """
+    if max_depth < 0:
+        raise MutationError(f"the mutation depth must be at least 0, got {max_depth}")
     n = len(q.vertices)
     start = _exchange_matrix(q, range(n))
     if is_acyclic(q):

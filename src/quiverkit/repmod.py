@@ -517,7 +517,8 @@ class ProjectiveSum:
     vertex space at w concatenates the summands' spaces in order.  A map out
     of the sum is held by its generator images, the coordinates that
     `generator_images`, `coordinates` and `map_with_coordinates` read and
-    build; `parts` splits the images of a map into the sum by its summands.
+    build, and that `postcompose` pushes through a map; `parts` splits
+    vectors of the sum by its summands.
     """
 
     algebra: BasedAlgebra
@@ -554,16 +555,24 @@ class ProjectiveSum:
             out.append(fmap.blocks[v].column(offsets[c][0] + pos))
         return out
 
-    def parts(self, fmap, src):
-        """parts[beta][alpha]: the alpha-th summand part of the beta-th
-        generator image of fmap, a map from the projective sum src into this
-        one.  It lies in e_{v_alpha} A e_{w_beta}, with v_alpha this sum's
-        alpha-th vertex and w_beta src's beta-th, and holds the coefficients
-        of that space's basis elements in basis order.
+    def parts(self, verts, vecs):
+        """parts[i][alpha]: the alpha-th summand part of vecs[i], a vector of
+        this sum at vertex verts[i].  It lies in e_{v_alpha} A e_w, with
+        v_alpha this sum's alpha-th vertex and w = verts[i], and holds the
+        coefficients of that space's basis elements in basis order.
         """
-        offsets = {w: self.summand_offsets(w) for w in set(src.verts)}
-        return [[img[off:off + d] for off, d in offsets[w]]
-                for w, img in zip(src.verts, src.generator_images(fmap))]
+        offsets = {w: self.summand_offsets(w) for w in set(verts)}
+        return [[vec[off:off + d] for off, d in offsets[w]] for w, vec in zip(verts, vecs)]
+
+    def postcompose(self, blocks, coords):
+        """The generator coordinates of g o psi, for psi out of this sum with
+        generator coordinates coords and g the map whose block at each
+        vertex is blocks[v]: g applied to each generator image."""
+        out, pos = [], 0
+        for v in self.verts:
+            out += blocks[v].apply(coords[pos:pos + blocks[v].cols])
+            pos += blocks[v].cols
+        return out
 
     def coordinates(self, fmap):
         """fmap's concatenated generator images, or None when fmap is not the
@@ -677,12 +686,41 @@ def projective_cover(m: Module):
     return psum, psum_map(psum, m, gens)
 
 
+def kernel_span(fmap: ModuleMap):
+    """The reduced echelon basis of ker fmap at each vertex, with its pivot
+    columns, as `echelon` returns them."""
+    f = fmap.source.algebra.field
+    return [echelon(f, kernel_basis(b), d) for b, d in zip(fmap.blocks, fmap.source.dims)]
+
+
+def kernel_cover(m: Module, span):
+    """(P, d): the projective cover of the submodule K of m spanned by span
+    (a `kernel_span`), composed with K's inclusion, so that d: P -> m has
+    image K and P ->> K is a projective cover.
+
+    K's basis at v is the rows of span[v], so the radical of K at w is
+    spanned by the rows' arrow images, read at w's pivot columns.  The rows
+    at the positions that `unit_complement` picks there complete it, so
+    they generate K minimally, and d sends each generator to its row.  No
+    module is built for K.
+    """
+    a = m.algebra
+    rad = [[] for _ in m.dims]
+    for rep in a.arrow_reps:
+        pivots = span[rep.target][1]
+        for row in span[rep.source][0]:
+            img = m.mats[rep.name].apply(row)
+            rad[rep.target].append([img[p] for p in pivots])
+    slots = [(v, rows[c]) for v, (rows, _) in enumerate(span)
+             for c in unit_complement(a.field, rad[v], len(rows))]
+    psum = projective_sum(a, [v for v, _ in slots])
+    return psum, psum_map(psum, m, [row for _, row in slots])
+
+
 def min_proj_presentation(m: Module):
     """(P1, P0, d1: P1 -> P0, epi: P0 ->> M), both covers minimal."""
     p0, epi = projective_cover(m)
-    ker, incl = kernel_of(epi, label="omega")
-    p1, cover1 = projective_cover(ker)
-    d1 = incl.compose(cover1)
+    p1, d1 = kernel_cover(p0.module, kernel_span(epi))
     return p1, p0, d1, epi
 
 
@@ -796,81 +834,6 @@ def is_isomorphic(m: Module, n: Module) -> bool:
         if i < 0 or dn[i][1] != mult:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# transport between related algebras
-
-
-def restrict_along_quotient(m: Module, quot: BasedAlgebra, label=None) -> Module:
-    """View a module annihilated by the quotient ideal as a module over the
-    quotient algebra (whose basis is a subset of the parent's); raises
-    ModuleError when the ideal does not annihilate it."""
-    a = m.algebra
-    if quot.parent is not a:
-        raise ModuleError("not a quotient of the module's algebra")
-    f = a.field
-    acts = [right_action(m, v) for v in range(len(a.vertices))]
-    # sum_k x_k R_k = 0 at every pair of vertices, for x in a basis of the ideal
-    for v, at_v in enumerate(acts):
-        for x in quot.ideal.basis:
-            for w in range(len(a.vertices)):
-                if not lincomb(f, m.dims[w], m.dims[v], [
-                        (x[k], r) for k, r in at_v.items() if a.target[k] == w]).is_zero():
-                    raise ModuleError("the quotient's ideal does not annihilate the module")
-    dims = [m.dims[a.vertex_index(v)] for v in quot.vertices]
-    mats = {}
-    for rep in quot.arrow_reps:
-        src = a.vertex_index(quot.vertices[rep.source])
-        tgt = a.vertex_index(quot.vertices[rep.target])
-        mats[rep.name] = lincomb(f, m.dims[tgt], m.dims[src], [
-            (c, acts[src][quot.parent_basis[pos]]) for pos, c in enumerate(rep.vector) if c])
-    return Module(quot, dims, mats, label=label or m.label)
-
-
-def transport_module(m: Module, target: BasedAlgebra) -> Module:
-    """Re-express a module over an algebra with matching vertex ids.
-
-    Arrows are matched by name when possible, otherwise by being the unique
-    arrow with the same (source, target); arrows of the target with no match
-    act as zero.  Raises when a nonzero action cannot be matched or the
-    match is ambiguous.
-    """
-    f = target.field
-    src_alg = m.algebra
-    old_index = {src_alg.vertices[i]: i for i in range(len(src_alg.vertices))}
-    dims = []
-    for v in target.vertices:
-        dims.append(m.dims[old_index[v]] if v in old_index else 0)
-    by_name = {r.name: r for r in src_alg.arrow_reps}
-    mats = {}
-    used = set()
-    for rep in target.arrow_reps:
-        sv = target.vertices[rep.source]
-        tv = target.vertices[rep.target]
-        blk = None
-        if rep.name in by_name:
-            old = by_name[rep.name]
-            if (src_alg.vertices[old.source], src_alg.vertices[old.target]) == (sv, tv):
-                blk = m.mats[rep.name]
-                used.add(rep.name)
-        if blk is None and sv in old_index and tv in old_index:
-            cands = [r for r in src_alg.arrow_reps
-                     if (src_alg.vertices[r.source], src_alg.vertices[r.target]) == (sv, tv)
-                     and r.name not in used]
-            if len(cands) == 1:
-                blk = m.mats[cands[0].name]
-                used.add(cands[0].name)
-            elif len(cands) > 1:
-                raise ModuleError(f"ambiguous arrow match for {rep.name}")
-        if blk is None:
-            blk = Matrix.zeros(f, dims[rep.target], dims[rep.source])
-        mats[rep.name] = blk
-    # every nonzero action of the source must have been carried over
-    for r in src_alg.arrow_reps:
-        if r.name not in used and not m.mats[r.name].is_zero():
-            raise ModuleError(f"arrow {r.name} with nonzero action has no counterpart")
-    return Module(target, dims, mats, label=m.label)
 
 
 # ---------------------------------------------------------------------------

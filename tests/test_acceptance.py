@@ -10,7 +10,12 @@ import time
 import numpy as np
 
 from quiverkit.algebra import build_algebra, check_associativity, gabriel_quiver
-from quiverkit.arquiver import check_local_slice, extend_cluster_tilted, knit
+from quiverkit.arquiver import (
+    check_local_slice,
+    extend_cluster_tilted,
+    knit,
+    transport_module,
+)
 from quiverkit.corpus import load_fixture
 from quiverkit.extensions import (
     ext2_bimodule,
@@ -37,7 +42,6 @@ from quiverkit.repmod import (
     radical_of,
     simple,
     socle_quotient,
-    transport_module,
 )
 
 

@@ -10,6 +10,7 @@ from quiverkit.arquiver import (
     find_local_slices_through,
     knit,
     tilted_quotient,
+    transport_module,
 )
 from quiverkit.homology import HomologyError, ext_group, tau
 from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
@@ -29,7 +30,6 @@ from quiverkit.repmod import (
     radical_of,
     simple,
     socle_quotient,
-    transport_module,
 )
 
 

@@ -17,7 +17,12 @@ from functools import lru_cache
 import pytest
 
 from quiverkit.algebra import build_algebra
-from quiverkit.arquiver import find_local_slices_through, knit, tilted_quotient
+from quiverkit.arquiver import (
+    find_local_slices_through,
+    knit,
+    restrict_along_quotient,
+    tilted_quotient,
+)
 from quiverkit.cli import _load_presentation, fixture_path
 from quiverkit.extensions import ext2_bimodule, one_point_extension
 from quiverkit.homology import (
@@ -34,7 +39,6 @@ from quiverkit.repmod import (
     direct_sum,
     injective,
     projective,
-    restrict_along_quotient,
     right_action,
     simple,
 )

@@ -72,6 +72,24 @@ def test_search_acyclic(capsys):
     assert code == 0 and data["sequence"] is not None
 
 
+def test_search_acyclic_negative_depth_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "--depth", "-1", "search-acyclic",
+                         _fixture("a31_clustertilted.q"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "depth" in err and "within" not in err
+
+
+def test_cap_help_names_only_the_knit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    cap_help = text[text.rindex("--cap CAP"):text.rindex("--depth DEPTH")]
+    assert "node cap" in cap_help and "knit" in cap_help
+    assert "resolution" not in text
+
+
 def test_ext_verb(capsys):
     code, out, _ = run(capsys, "ext", _fixture("d4_tilted.q"),
                        "S(1)", "S(4)", "2")

@@ -17,6 +17,7 @@ from quiverkit.extensions import (
     verify_extension_commutes,
 )
 from quiverkit.homology import ext_dim
+from quiverkit.arquiver import transport_module
 from quiverkit.linalg import Matrix
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import (
@@ -27,7 +28,6 @@ from quiverkit.repmod import (
     projective,
     radical_of,
     simple,
-    transport_module,
     zero_module,
 )
 

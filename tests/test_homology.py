@@ -144,8 +144,7 @@ def test_ext_agrees_with_padded_resolution(alg_c):
                 big.data[i][j] = a.data[i][j]
         d2_blocks.append(big)
     d2 = ModuleMap(p2.module, p1.module, d2_blocks)
-    padded = Resolution(m, [p0, p1, p2], [d1, d2], aug,
-                        kernels=[(None, None)])
+    padded = Resolution(m, [p0, p1, p2], [d1, d2], aug)
 
     for j in alg_c.vertices:
         target = simple(alg_c, j)
@@ -153,6 +152,19 @@ def test_ext_agrees_with_padded_resolution(alg_c):
             want, _ = ext_dim(m, target, k)
             got, _ = ext_dim(m, target, k, resolution=padded)
             assert got == want
+
+
+def test_ext_extends_a_short_resolution(frag_c):
+    # a resolution passed before it reaches P_k is extended, not read as
+    # ending there, which would make Ext^k vanish
+    nonzero = 0
+    for m in frag_c.nodes:
+        for n in frag_c.nodes:
+            want = ext_group(m, n, 2)
+            got = ext_group(m, n, 2, resolution=start_resolution(m))
+            assert got.cocycles == want.cocycles
+            nonzero += len(want.cocycles)
+    assert nonzero
 
 
 @pytest.mark.parametrize("field", ["rational", "gf(32003)"])
@@ -297,7 +309,7 @@ def test_resolution_grown_in_steps_equals_one_grown_at_once(name, field):
         for length in (1, 2, 3):
             res.extend(length)
             assert len(res.diffs) == len(res.terms) - 1
-            assert len(res.terms) - 1 <= len(res.kernels) <= len(res.terms)
+            assert len(res.terms) - 1 <= len(res.spans) <= len(res.terms)
         ref = min_resolution(Module(fresh, m.dims, m.mats), 3)
         assert len(ref.diffs) == len(ref.terms) - 1
         assert _shape(res) == _shape(ref)
@@ -334,10 +346,16 @@ def test_global_dims_of_the_euler_form_algebras():
 def test_transpose_computes_one_kernel(name, field, monkeypatch):
     import quiverkit.homology as homology
     nodes = knit(_fixture_over(name, field), 40).nodes
-    calls = []
-    real = homology.kernel_of
-    monkeypatch.setattr(homology, "kernel_of", lambda *a, **k: calls.append(a) or real(*a, **k))
-    for m in nodes:
-        calls.clear()
+    is_projective = [proj_dim(m, 1) == 0 for m in nodes]
+    spans, covers = [], []
+    real_span, real_cover = homology.kernel_span, homology.kernel_cover
+    monkeypatch.setattr(homology, "kernel_span",
+                        lambda *a: spans.append(a) or real_span(*a))
+    monkeypatch.setattr(homology, "kernel_cover",
+                        lambda *a: covers.append(a) or real_cover(*a))
+    for m, proj in zip(nodes, is_projective):
+        spans.clear()
+        covers.clear()
         transpose(m)
-        assert len(calls) == 1
+        assert len(spans) == 1
+        assert len(covers) == (0 if proj else 1)

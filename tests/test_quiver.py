@@ -216,6 +216,16 @@ def test_search_acyclic_absent_small_depth():
     assert find_acyclic_in_mutation_class(q, 3) is None
 
 
+def test_search_rejects_a_negative_depth():
+    # acyclic already, so the depth is checked before the search starts
+    q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    assert find_acyclic_in_mutation_class(q, 0) == []
+    for name in ("a31_clustertilted.q", None):
+        quiver = load_fixture(name).quiver if name else q
+        with pytest.raises(MutationError, match="depth must be at least 0, got -1"):
+            find_acyclic_in_mutation_class(quiver, -1)
+
+
 def test_canonical_form_invariant_under_relabelling():
     q1 = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
     q2 = Quiver(("1", "2", "3"), (Arrow("a", "3", "1"), Arrow("b", "1", "2")))

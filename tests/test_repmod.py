@@ -536,8 +536,7 @@ def _reference_restriction_blocks(m, quot):
 
 @pytest.mark.parametrize("field", ["rational", "gf(32003)", "gf(3)"])
 def test_tilted_quotient_and_restriction_match_reference(field):
-    from quiverkit.arquiver import tilted_quotient
-    from quiverkit.repmod import restrict_along_quotient
+    from quiverkit.arquiver import restrict_along_quotient, tilted_quotient
     quotients = 0
     for a, nodes in _action_cases(field):
         # runs of four consecutive knit nodes
@@ -599,7 +598,7 @@ def test_restriction_refuses_modules_the_ideal_does_not_annihilate():
     # I(v) of the four finite fixtures along every vertex quotient: 164 cases
     from quiverkit.algebra import build_algebra, quotient_by_vertex
     from quiverkit.corpus import load_fixture
-    from quiverkit.repmod import restrict_along_quotient
+    from quiverkit.arquiver import restrict_along_quotient
     cases = refused = 0
     for name in ("d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
                  "d5_clustertilted.q"):

@@ -12,7 +12,7 @@ from quiverkit.arquiver import knit
 from quiverkit.cli import _load_presentation, fixture_path
 from quiverkit.homology import ext_dim, hom_matrix, lift_chain_map, min_resolution
 from quiverkit.linalg import SpanTracker
-from quiverkit.repmod import hom_basis
+from quiverkit.repmod import hom_basis, kernel_of
 
 CASES = [(name, field)
          for name in ("d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q")
@@ -47,8 +47,8 @@ def test_ext_dims_match_hom_dimension_counts(name, field):
     nodes = _nodes(name, field)
     for m in nodes:
         res = min_resolution(m, 3)
-        omega, omega2 = [res.kernels[k][0] if k < len(res.kernels) else None
-                         for k in (0, 1)]
+        omega = kernel_of(res.aug)[0]
+        omega2 = kernel_of(res.diffs[0])[0] if res.diffs else None
         p0, p1 = [res.term_module(k) for k in (0, 1)]
         for n in nodes:
             ext1 = _hom_dim(omega, n) - _hom_dim(p0, n) + _hom_dim(m, n)
