@@ -17,10 +17,9 @@ builds no term past P_k.
 Ext in each degree k >= 1 is one `ExtGroup`: the term P_k, cocycle
 representatives of a basis in generator coordinates (and, on demand, as
 maps), and the coordinates of any cocycle's class over them: `classes_of`
-reads many cocycles given in generator coordinates with one elimination,
-and `classes` reads one cocycle given as a map.  `ext_dim`, the almost
-split class and the Ext^2 bimodule of `extensions` all read their classes
-from it.
+reads many cocycles, given in generator coordinates, with one elimination.
+`ext_dim`, the almost split class and the Ext^2 bimodule of `extensions`
+all read their classes from it.
 
 A map out of a resolution term, a sum of projectives e_v A, is handled by
 its generator images: Hom(e_v A, N) = N e_v, so chain lifts and the
@@ -122,6 +121,13 @@ def start_resolution(m: Module) -> Resolution:
     return Resolution(m, [p0], [], epi)
 
 
+def _resolving(res: Resolution, m: Module) -> Resolution:
+    """res, checked to be a resolution of m (of a module with m's key)."""
+    if res.module is not m and res.module.key() != m.key():
+        raise HomologyError(f"the resolution given is of {res.module.label}, not of {m.label}")
+    return res
+
+
 def min_resolution(m: Module, length: int) -> Resolution:
     """Minimal projective resolution of m out to terms[length] (cached)."""
     cache = m.algebra._resolutions
@@ -204,8 +210,7 @@ class ExtGroup:
     term is P_k (None past the resolution's end) and reps are the cocycles
     of the kernel basis that complete the coboundaries: their classes are a
     basis of Ext^k.  `classes_of` reads the classes of many cocycles, given
-    in generator coordinates, at once; `classes` reads one cocycle given as
-    a map.
+    in generator coordinates, at once.
     """
 
     term: object
@@ -228,26 +233,17 @@ class ExtGroup:
             raise HomologyError("not a cocycle out of the resolution term")
         return [x[self._n_boundary:] for x in sol]
 
-    def classes(self, cocycle: ModuleMap):
-        """The coordinates over reps of the class of a cocycle P_k -> N."""
-        coords = None
-        if (self.term is not None and cocycle.source.dims == self.term.module.dims
-                and cocycle.target.dims == self.target.dims):
-            coords = self.term.coordinates(cocycle)
-        if coords is None:
-            raise HomologyError("not a cocycle out of the resolution term")
-        return self.classes_of([coords])[0]
 
 
 def ext_group(m: Module, n: Module, k: int, resolution: Resolution = None) -> ExtGroup:
     """Ext^k(M, N) for k >= 1, over resolution (M's minimal one by default),
-    extended out to P_k."""
+    extended out to P_k; a resolution of another module is refused."""
     if k < 1:
         raise HomologyError("ext_group needs a degree of at least 1")
     if m.algebra is not n.algebra:
         raise HomologyError("modules over different algebras")
     f = m.algebra.field
-    res = resolution.extend(k) if resolution else min_resolution(m, k)
+    res = _resolving(resolution, m).extend(k) if resolution else min_resolution(m, k)
     pk = res.terms[k] if k < len(res.terms) else None
     nh = sum(n.dims[v] for v in pk.verts) if pk is not None else 0  # dim Hom(P_k, N)
     if not nh:
@@ -280,13 +276,14 @@ def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
 
 def transpose(m: Module, res: Resolution = None) -> Module:
     """Tr(M) over the opposite algebra, from a minimal presentation (read
-    from res, m's resolution, when the caller holds one).
+    from res, m's resolution, when the caller holds one; a resolution of
+    another module is refused).
 
     Projective summands of M contribute nothing (their minimal presentation
     has no first term), so Tr of a projective is zero.
     """
     op = m.algebra.opposite()
-    res = (res or start_resolution(m)).extend(1)
+    res = (_resolving(res, m) if res else start_resolution(m)).extend(1)
     if len(res.terms) < 2:
         return zero_module(op)
     p0, p1, d1 = res.terms[0], res.terms[1], res.diffs[0]

@@ -21,6 +21,7 @@ from itertools import chain, combinations
 
 from quiverkit.algebra import BasedAlgebra
 from quiverkit.linalg import (
+    LinalgError,
     Matrix,
     echelon,
     kernel_basis,
@@ -183,9 +184,8 @@ class ModuleMap:
     def is_invertible(self):
         if self.source.dims != self.target.dims:
             return False
+        # equal dimension vectors make every block square
         for b in self.blocks:
-            if b.rows != b.cols:
-                return False
             if b.rows and rref(b).rank != b.rows:
                 return False
         return True
@@ -516,9 +516,9 @@ class ProjectiveSum:
     verts lists the defining vertex index of each summand; the module's
     vertex space at w concatenates the summands' spaces in order.  A map out
     of the sum is held by its generator images, the coordinates that
-    `generator_images`, `coordinates` and `map_with_coordinates` read and
-    build, and that `postcompose` pushes through a map; `parts` splits
-    vectors of the sum by its summands.
+    `generator_images` reads and `map_with_coordinates` builds, and that
+    `postcompose` pushes through a map; `parts` splits vectors of the sum by
+    its summands.
     """
 
     algebra: BasedAlgebra
@@ -573,14 +573,6 @@ class ProjectiveSum:
             out += blocks[v].apply(coords[pos:pos + blocks[v].cols])
             pos += blocks[v].cols
         return out
-
-    def coordinates(self, fmap):
-        """fmap's concatenated generator images, or None when fmap is not the
-        module map that those images determine."""
-        images = self.generator_images(fmap)
-        if psum_map(self, fmap.target, images).blocks != fmap.blocks:
-            return None
-        return [x for img in images for x in img]
 
     def map_with_coordinates(self, target, coords):
         """The map into target whose concatenated generator images are coords."""
@@ -667,25 +659,6 @@ def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
                                            for cols, d in zip(columns, target.dims)])
 
 
-def top_generator_slots(m: Module):
-    """(vertex, coordinate) of the unit vectors that complete the radical
-    span at each vertex: their classes are a basis of top M, so they
-    generate M minimally."""
-    f = m.algebra.field
-    rad = radical_spans(m)
-    return [(v, c) for v, d in enumerate(m.dims) for c in unit_complement(f, rad[v], d)]
-
-
-def projective_cover(m: Module):
-    """(projective sum P, epi P ->> M) with superfluous kernel."""
-    f = m.algebra.field
-    slots = top_generator_slots(m)
-    psum = projective_sum(m.algebra, [v for v, _ in slots])
-    gens = [[f.one() if i == c else f.zero() for i in range(m.dims[v])]
-            for v, c in slots]
-    return psum, psum_map(psum, m, gens)
-
-
 def kernel_span(fmap: ModuleMap):
     """The reduced echelon basis of ker fmap at each vertex, with its pivot
     columns, as `echelon` returns them."""
@@ -695,8 +668,9 @@ def kernel_span(fmap: ModuleMap):
 
 def kernel_cover(m: Module, span):
     """(P, d): the projective cover of the submodule K of m spanned by span
-    (a `kernel_span`), composed with K's inclusion, so that d: P -> m has
-    image K and P ->> K is a projective cover.
+    (a `kernel_span`, or the unit vectors for K = m), composed with K's
+    inclusion, so that d: P -> m has image K and P ->> K is a projective
+    cover.
 
     K's basis at v is the rows of span[v], so the radical of K at w is
     spanned by the rows' arrow images, read at w's pivot columns.  The rows
@@ -715,6 +689,13 @@ def kernel_cover(m: Module, span):
              for c in unit_complement(a.field, rad[v], len(rows))]
     psum = projective_sum(a, [v for v, _ in slots])
     return psum, psum_map(psum, m, [row for _, row in slots])
+
+
+def projective_cover(m: Module):
+    """(projective sum P, epi P ->> M) with superfluous kernel: the cover of
+    the whole of M, whose span is the unit vectors at every vertex."""
+    f = m.algebra.field
+    return kernel_cover(m, [(Matrix.identity(f, d).data, range(d)) for d in m.dims])
 
 
 def min_proj_presentation(m: Module):
@@ -791,9 +772,9 @@ def _indecomposable_pieces(m: Module):
         if split is not None:
             a, b = split
             return _indecomposable_pieces(a) + _indecomposable_pieces(b)
-    # a module with a simple top is local, so indecomposable in every
-    # characteristic; otherwise the trace form decides
-    if len(top_generator_slots(m)) == 1 or len(ends) - len(end_radical_basis(ends)) == 1:
+    # the trace form decides in characteristic 0 and above dim M; a module
+    # with a simple top is local, so indecomposable in every characteristic
+    if len(ends) - len(end_radical_basis(ends)) == 1 or len(projective_cover(m)[0].verts) == 1:
         return [m]
     raise DecompositionError(
         "could not certify indecomposability: End/rad has dimension > 1 "
@@ -853,13 +834,25 @@ def module_to_json(m: Module) -> dict:
 
 
 def module_from_json(a: BasedAlgebra, data: dict) -> Module:
+    """The module that `module_to_json` writes.  Anything else, such as a key
+    that names no vertex or arrow of a, is a ModuleError, never dropped."""
     f = a.field
-    dims = [int(data["dims"].get(str(v), 0)) for v in a.vertices]
+    if not (isinstance(data, dict) and data.keys() - {"label"} == {"dims", "actions"}
+            and isinstance(data["dims"], dict) and isinstance(data["actions"], dict)):
+        raise ModuleError('a module is an object of "dims", "actions" and an optional "label"')
+    names = [str(v) for v in a.vertices]
+    dims = [data["dims"].get(v, 0) for v in names]
+    if data["dims"].keys() - set(names) or any(type(d) is not int or d < 0 for d in dims):
+        raise ModuleError(f"dims must map vertices {names} to nonnegative integers")
+    sources = {r.name: r.source for r in a.arrow_reps}
     mats = {}
-    for rep in a.arrow_reps:
-        rows = data["actions"].get(rep.name)
-        if rows is not None:
-            mats[rep.name] = Matrix(
-                f, [[f.scalar_from_str(x) for x in row] for row in rows],
-                dims[rep.target], dims[rep.source])
+    for name, rows in data["actions"].items():
+        if name not in sources or type(rows) is not list or any(type(r) is not list for r in rows):
+            raise ModuleError(f"actions must map arrows {list(sources)} to lists of rows, "
+                              f"not {name!r}")
+        try:
+            mats[name] = Matrix(f, [[f.scalar_from_str(str(x)) for x in row] for row in rows],
+                                cols=dims[sources[name]])
+        except (ValueError, ZeroDivisionError, LinalgError) as exc:
+            raise ModuleError(f"bad action for {name}: {exc}") from None
     return Module(a, dims, mats, label=data.get("label", "M"), validate=True)

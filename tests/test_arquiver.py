@@ -31,6 +31,7 @@ from quiverkit.repmod import (
     simple,
     socle_quotient,
 )
+from test_yoneda_route import _ext_class
 
 
 def _brute_force_indecomposables(a):
@@ -507,7 +508,7 @@ def test_almost_split_class_needs_the_radical():
     assert frag.complete and len(frag.nodes) == 4
     assert frag.arrows == _irreducible_arrows(a, frag.nodes)
     # the socle of Ext^1(Y, tau Y) over End(tau Y) = k[x]/(x^m), read through
-    # `classes`: the classes that multiplication by x kills form a line, and
+    # `classes_of`: the classes that multiplication by x kills form a line, and
     # every endomorphism of the trace-form radical kills them too
     f = a.field
     planes = 0
@@ -518,13 +519,13 @@ def test_almost_split_class_needs_the_radical():
         g = ext_group(y, ty, 1)
         d = len(g.reps)
         x_act = ModuleMap(ty, ty, [ty.mats["x"]])
-        by_x = [g.classes(x_act.compose(r)) for r in g.reps]
+        by_x = [_ext_class(g, x_act.compose(r)) for r in g.reps]
         socle = kernel_basis(Matrix.from_columns(f, by_x, d))
         assert len(socle) == 1
         planes += d > 1
         xi = combine_maps(socle[0], g.reps, g.term.module, ty)
         for rho in end_radical_basis(hom_basis(ty, ty)):
-            assert g.classes(rho.compose(xi)) == [f.zero()] * d
+            assert _ext_class(g, rho.compose(xi)) == [f.zero()] * d
     assert planes
     # over GF(2) the trace form cannot see that radical: a domain error,
     # never a guessed sequence

@@ -2,8 +2,8 @@
 
 `ext2_bimodule` builds the actions of the arrow representatives only and
 lets every basis element act through the arrow words of its basis
-expression.  The reference below is the direct route: one chain lift and one
-`ExtGroup.classes` per basis element and cocycle, composing module maps.
+expression.  The reference below is the direct route: one chain lift per
+basis element and one class read per cocycle, composing module maps.
 Both must give the same matrix for every basis element, on every fixture of
 global dimension at most 2 and on its one-point extensions by each P(v),
 S(v) and I(v), over the rationals and three prime fields, and on the
@@ -42,6 +42,7 @@ from quiverkit.repmod import (
     right_action,
     simple,
 )
+from test_yoneda_route import _ext_class
 
 FIXTURES = ["a31_clustertilted.q", "a31_onepoint_ext.q", "d4_clustertilted.q",
             "d4_tilted.q", "d4_tilted_ext_s2.q", "d5_clustertilted.q"]
@@ -52,7 +53,7 @@ def _reference_actions(c, bimodule):
     """The left and right matrices of every basis element of c on
     bimodule's basis: b_k . - and D(- . b_k) are built for each b_k, the
     right action lifts D(- . b_k) to the resolutions, and each composed
-    cocycle is read back by `classes`."""
+    cocycle is read back from its generator coordinates."""
     f = c.field
     n = len(c.vertices)
     projs = [projective(c, v) for v in c.vertices]
@@ -78,10 +79,10 @@ def _reference_actions(c, bimodule):
         for p, (i, j, u) in enumerate(basis):
             rep = groups[(i, j)].reps[u]
             if i == t:
-                for u2, x in enumerate(groups[(s, j)].classes(lam.compose(rep))):
+                for u2, x in enumerate(_ext_class(groups[(s, j)], lam.compose(rep))):
                     lm.data[pos[(s, j, u2)]][p] = x
             if j == s and lam2 is not None:
-                for u2, x in enumerate(groups[(i, t)].classes(rep.compose(lam2))):
+                for u2, x in enumerate(_ext_class(groups[(i, t)], rep.compose(lam2))):
                     rm.data[pos[(i, t, u2)]][p] = x
         left.append(lm)
         right.append(rm)

@@ -208,6 +208,33 @@ def test_module_json_file_argument(capsys, tmp_path):
     assert code == 0 and "[0, 0, 0, 0]" in out  # translate of a projective
 
 
+@pytest.mark.parametrize("data", [
+    {"dims": {"1": 1, "2": 1}, "actions": {"A": [["1"]]}},
+    {"dims": {"1": 1, "2": 1, "9": 1}, "actions": {"a": [["1"]]}},
+    {"dims": {"1": 1, "2": 1}, "actions": {"a": [["1"]]}, "lable": "M"},
+    {"dims": {"1": 1, "2": 1}},
+    [{"1": 1, "2": 1}, {"a": [["1"]]}],
+    {"dims": {"1": 1.5}, "actions": {}},
+    {"dims": {"1": "one"}, "actions": {}},
+    {"dims": {"1": -1}, "actions": {}},
+    {"dims": {"1": 1, "2": 1}, "actions": {"a": [["x"]]}},
+    {"dims": {"1": 1, "2": 1}, "actions": {"a": [["1"], ["1"]]}},
+    {"dims": {"1": 1, "2": 1}, "actions": {"a": ["1"]}},
+], ids=["unknown-arrow", "unknown-vertex", "unknown-key", "no-actions", "not-an-object",
+        "fractional-dim", "string-dim", "negative-dim", "bad-scalar", "wrong-shape",
+        "not-rows"])
+def test_malformed_module_json_is_a_domain_error(capsys, tmp_path, data):
+    # the same module with its keys right is S(1) + S(2) glued by the arrow a
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"dims": {"1": 1, "2": 1}, "actions": {"a": [["1"]]}}))
+    assert run(capsys, "tau", _fixture("d4_clustertilted.q"), "@" + str(good))[0] == 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "tau", _fixture("d4_clustertilted.q"), "@" + str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_decomposition_error_is_a_domain_error(capsys, tmp_path):
     # P(1)+P(1) over k[x]/(x^3) lies on no local slice: the extension stops
     # with an ARQuiverError before any decomposition can fail

@@ -31,7 +31,7 @@ from quiverkit.repmod import (
     simple,
 )
 from test_repmod import FINITE_FIXTURES, _fixture_over
-from test_yoneda_route import _unit_maps
+from test_yoneda_route import _ext_class, _unit_maps
 
 
 def test_resolution_shape_and_minimality(alg_b):
@@ -167,6 +167,21 @@ def test_ext_extends_a_short_resolution(frag_c):
     assert nonzero
 
 
+def test_a_resolution_of_another_module_is_refused():
+    # read as resolutions of S(2) and S(4), those of I(1) would give
+    # Ext^1(S(2), S(3)) = k and tau S(4) of dimension vector (1, 1, 1, 0);
+    # both are 0
+    a = _fixture_over("d4_tilted.q", "rational")
+    s2, s3, s4, i1 = simple(a, "2"), simple(a, "3"), simple(a, "4"), injective(a, "1")
+    assert ext_dim(s2, s3, 1)[0] == 0 and tau(s4).is_zero()
+    with pytest.raises(HomologyError, match="resolution"):
+        ext_dim(s2, s3, 1, resolution=min_resolution(i1, 2))
+    with pytest.raises(HomologyError, match="resolution"):
+        tau(s4, min_resolution(i1, 1))
+    # the resolution of a module with the same key is accepted
+    assert tau(s4, min_resolution(simple(a, "4"), 1)).is_zero()
+
+
 @pytest.mark.parametrize("field", ["rational", "gf(32003)"])
 @pytest.mark.parametrize("name", ["d4_tilted.q", "d4_tilted_ext_s2.q"])
 def test_ext_classes_are_coordinates_over_the_representatives(name, field):
@@ -190,16 +205,16 @@ def test_ext_classes_are_coordinates_over_the_representatives(name, field):
                                    g.term.module, n)
                 seen_coboundary |= any(x != f.zero() for x in bnd.flatten())
                 for t, r in enumerate(g.reps):
-                    assert g.classes(r) == units[t]
+                    assert _ext_class(g, r) == units[t]
                     moved = combine_maps([f.one(), f.one()], [r, bnd], g.term.module, n)
-                    assert g.classes(moved) == units[t]
+                    assert _ext_class(g, moved) == units[t]
                 # maps out of P_k that do not vanish on the image of d_{k+1}
                 if k + 1 < len(res.terms):
                     for h in _unit_maps(g.term, n):
                         if any(x != f.zero() for x in h.compose(res.diffs[k]).flatten()):
                             seen_non_cocycle = True
                             with pytest.raises(HomologyError):
-                                g.classes(h)
+                                _ext_class(g, h)
     assert seen_coboundary and seen_non_cocycle
 
 

@@ -3,8 +3,9 @@
 The reference adds span(vecs) to a `SpanTracker`, then keeps each unit
 vector, earliest first, that enlarges the span.  The helper must pick the
 same positions: on random vectors, and through its callers
-`top_generator_slots` (over knit nodes, their direct sums, and the kernels
-and cokernels of Hom basis maps) and `Bimodule.arrow_positions`.
+`projective_cover`, whose generators go to unit vectors completing the
+radical span (over knit nodes, their direct sums, and the kernels and
+cokernels of Hom basis maps), and `Bimodule.arrow_positions`.
 """
 
 from fractions import Fraction
@@ -23,8 +24,8 @@ from quiverkit.repmod import (
     hom_basis,
     kernel_of,
     projective,
+    projective_cover,
     radical_spans,
-    top_generator_slots,
 )
 
 FIELDS = [RationalField(), PrimeField(3), PrimeField(32003)]
@@ -100,7 +101,12 @@ def test_top_generator_slots_equal_the_greedy_choice(fixture):
         rad = radical_spans(m)
         expected = [(v, c) for v, d in enumerate(m.dims)
                     for c in _greedy_complement(f, rad[v], d)]
-        assert top_generator_slots(m) == expected, m.label
+        # the cover's generators go to the unit vectors at those positions
+        units = [[f.one() if i == c else f.zero() for i in range(m.dims[v])]
+                 for v, c in expected]
+        psum, epi = projective_cover(m)
+        assert psum.verts == [v for v, _ in expected], m.label
+        assert psum.generator_images(epi) == units, m.label
 
 
 def _bimodules():
