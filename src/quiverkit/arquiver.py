@@ -211,6 +211,12 @@ def _node_labels(nodes):
 def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     """Gather AR-quiver components touching the projectives, up to node_cap.
 
+    Every module found is decomposed against the nodes so far
+    (`decompose(m, nodes)`): being isomorphic to a known node is the first
+    certificate that a summand is indecomposable.  The summand comes back
+    as that node object, so finding its node solves no Hom against the node
+    itself.
+
     Cap exhaustion (too many nodes, or a module larger than dim_cap, the
     signature of a representation-infinite component) is reported through
     incomplete_reason, never an error.
@@ -265,9 +271,9 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             m = nodes[i]
             found = []  # (kind, module, multiplicity)
             if i in projective_at:
-                found += [("in", s, mult) for s, mult in decompose(radical_of(m))]
+                found += [("in", s, mult) for s, mult in decompose(radical_of(m), nodes)]
             if i in injective_at:
-                found += [("out", s, mult) for s, mult in decompose(socle_quotient(m))]
+                found += [("out", s, mult) for s, mult in decompose(socle_quotient(m), nodes)]
             if i not in projective_at and i not in tau_of:
                 resolutions[i] = start_resolution(m)
                 found.append(("tau", tau(m, resolutions[i]), 1))
@@ -283,7 +289,8 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             i, sequenced = sequenced, sequenced + 1
             y, ty = nodes[i], nodes[tau_of[i]]
             res = resolutions.pop(i, None) or start_resolution(y)
-            found = [("in", s, mult) for s, mult in decompose(almost_split_middle(y, ty, res))]
+            middle = almost_split_middle(y, ty, res)
+            found = [("in", s, mult) for s, mult in decompose(middle, nodes)]
             if [sum(mult * s.dims[v] for _, s, mult in found) for v in range(nv)] != [
                     y.dims[v] + ty.dims[v] for v in range(nv)]:
                 raise ARQuiverError("the almost split sequence ending at "

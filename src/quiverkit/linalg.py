@@ -9,9 +9,14 @@ exact; there are no tolerances anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
 elimination serves `rref`, `echelon`, `kernel_basis`, `solve_many` (with
-`solve` its one-column case), `unit_complement` and `SpanTracker`.  Its
-single row step, row -= c * pivot_row, visits only the nonzero columns of
-the pivot row, and uses nothing of the field but `inv`, `sub` and `mul`.
+`solve` its one-column case), `unit_complement` and, one row at a time,
+`SpanTracker`.  `rref`, `echelon` and `kernel_basis` each run `_eliminate`
+on one copy of the rows.  `echelon` and `kernel_basis` read their results
+from that copy and build no `RrefResult` or `Matrix` around it: most of
+their blocks are tiny, often 1x1.  The single row step, row -= c *
+pivot_row, visits only the nonzero columns of the pivot row, and uses
+nothing of the field but `inv`, `sub` and `mul`.  A pivot row whose pivot
+entry is already 1 is not scaled, so it costs no inverse.
 It tests entries for zero by truth value, so GF(p) entries must stay
 reduced into [0, p): `from_int` and `scalar_from_str` reduce every scalar
 that enters, and the field operations keep it so.  A block with no rows or
@@ -312,7 +317,10 @@ def _subtract(f, row, c, support):
 
 
 def _normalize(f, row, j):
-    """Scale row in place so that row[j] == 1; returns its new support."""
+    """Scale row in place so that row[j] == 1; returns its new support.  A
+    row whose entry there is already 1 is left as it is."""
+    if row[j] == 1:
+        return _support(row)
     inv = f.inv(row[j])
     support = [(k, f.mul(inv, x)) for k, x in _support(row)]
     for k, x in support:
@@ -360,8 +368,9 @@ def echelon(f, vecs, d):
     its pivot columns."""
     if not vecs:
         return [], []
-    res = rref(Matrix.wrap(f, vecs, len(vecs), d))
-    return res.reduced.data[:res.rank], res.pivot_columns
+    work = [list(row) for row in vecs]
+    pivots = _eliminate(work, d, f)
+    return work[:len(pivots)], pivots
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -371,8 +380,8 @@ def kernel_basis(m: Matrix) -> list:
         return []
     if m.rows == 0:
         return Matrix.identity(f, m.cols).data
-    res = rref(m)
-    pivots = res.pivot_columns
+    work = [list(row) for row in m.data]
+    pivots = _eliminate(work, m.cols, f)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -381,7 +390,7 @@ def kernel_basis(m: Matrix) -> list:
         v = [z] * m.cols
         v[fc] = f.one()
         for r, pc in enumerate(pivots):
-            entry = res.reduced.data[r][fc]
+            entry = work[r][fc]
             if entry:
                 v[pc] = f.neg(entry)
         basis.append(v)

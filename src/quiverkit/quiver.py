@@ -26,10 +26,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
-from quiverkit.linalg import PrimeField, RationalField, field_from_name
+from quiverkit.linalg import LinalgError, PrimeField, RationalField, field_from_name
 
 
 class ParseError(Exception):
@@ -366,19 +367,34 @@ def presentation_to_json(pres: Presentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> Presentation:
+    """The presentation that `presentation_to_json` writes.  A field kind
+    other than its two, a top-level or arrow key that it does not write, a
+    missing key and a bad coefficient are each a one-line ParseError."""
+    if not (isinstance(data, dict)
+            and data.keys() == {"field", "vertices", "arrows", "relations"}):
+        raise ParseError('a presentation is an object of "field", "vertices", '
+                         '"arrows" and "relations"')
     fd = data["field"]
-    field = RationalField() if fd["kind"] == "rational" else PrimeField(fd["p"])
-    quiver = Quiver(
-        tuple(data["vertices"]),
-        tuple(Arrow(a["name"], a["source"], a["target"]) for a in data["arrows"]),
-    )
-    relations = tuple(
-        RelationElement(
-            quiver,
-            tuple((field.scalar_from_str(t["coeff"]), tuple(t["path"])) for t in rel),
+    try:
+        if fd == {"kind": "rational"}:
+            field = RationalField()
+        elif isinstance(fd, dict) and fd.keys() == {"kind", "p"} and fd["kind"] == "gf":
+            field = PrimeField(index(fd["p"]))
+        else:
+            raise ParseError('field must be {"kind": "rational"} or {"kind": "gf", "p": <prime>}')
+        quiver = Quiver(
+            tuple(data["vertices"]),
+            tuple(Arrow(**a) for a in data["arrows"]),
         )
-        for rel in data["relations"]
-    )
+        relations = tuple(
+            RelationElement(
+                quiver,
+                tuple((field.scalar_from_str(t["coeff"]), tuple(t["path"])) for t in rel),
+            )
+            for rel in data["relations"]
+        )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, LinalgError) as exc:
+        raise ParseError(f"bad presentation: {type(exc).__name__} {exc}") from None
     return Presentation(quiver, relations, field)
 
 

@@ -17,7 +17,7 @@ quotient's basis is the classes of the unit vectors at the free columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 from quiverkit.algebra import BasedAlgebra
 from quiverkit.linalg import (
@@ -68,12 +68,7 @@ class Module:
         return sum(self.dims)
 
     def offsets(self):
-        off = []
-        acc = 0
-        for d in self.dims:
-            off.append(acc)
-            acc += d
-        return off
+        return [0, *accumulate(self.dims)][:-1]
 
     def key(self):
         if self._key is None:
@@ -314,7 +309,8 @@ def hom_basis(m: Module, n: Module):
     f = a.field
     if m.total_dim == 0 or n.total_dim == 0:
         return []
-    offs, total = _unknown_layout(m, n)
+    # the unknowns are the entries of each F_v, row by row, vertex after vertex
+    offs = [0, *accumulate(x * y for x, y in zip(m.dims, n.dims))]
     rows = []
     z = f.zero()
     for rep in a.arrow_reps:
@@ -322,34 +318,21 @@ def hom_basis(m: Module, n: Module):
         A = m.mats[rep.name]   # m.dims[j] x m.dims[i]
         B = n.mats[rep.name]
         di, dj = m.dims[i], m.dims[j]
-        ei, ej = n.dims[i], n.dims[j]
-        if di == 0 or ej == 0:
-            continue
-        for r in range(ej):
+        ei = n.dims[i]
+        for r in range(n.dims[j]):
             for c in range(di):
-                row = [z] * total
-                # + (F_j A)[r, c]
-                for s in range(dj):
-                    if A.data[s][c]:
-                        row[offs[j] + r * dj + s] = f.add(row[offs[j] + r * dj + s], A.data[s][c])
+                row = [z] * offs[-1]
+                # + (F_j A)[r, c]: row r of F_j times column c of A
+                row[offs[j] + r * dj: offs[j] + r * dj + dj] = A.column(c)
                 # - (B F_i)[r, c]
                 for t in range(ei):
                     if B.data[r][t]:
                         idx = offs[i] + t * di + c
                         row[idx] = f.sub(row[idx], B.data[r][t])
                 rows.append(row)
-    # the system matrix owns the rows: one copy besides rref's own
-    vecs = kernel_basis(Matrix.wrap(f, rows, len(rows), total))
+    # the system matrix owns the rows: one copy besides the elimination's own
+    vecs = kernel_basis(Matrix.wrap(f, rows, len(rows), offs[-1]))
     return [_unflatten_hom(m, n, v) for v in vecs]
-
-
-def _unknown_layout(m, n):
-    offs = []
-    pos = 0
-    for v in range(len(m.dims)):
-        offs.append(pos)
-        pos += n.dims[v] * m.dims[v]
-    return offs, pos
 
 
 def _unflatten_hom(m, n, flat):
@@ -424,17 +407,11 @@ def quotient_module(m: Module, spans, label="Q"):
 
 
 def kernel_of(fmap: ModuleMap, label="ker"):
-    spans = []
-    m = fmap.source
-    for v in range(len(m.dims)):
-        vecs = kernel_basis(fmap.blocks[v])
-        spans.append(vecs)
-    return submodule_from_spans(m, spans, label=label)
+    return submodule_from_spans(fmap.source, list(map(kernel_basis, fmap.blocks)), label=label)
 
 
 def image_spans(fmap: ModuleMap):
-    return [[fmap.blocks[v].column(j) for j in range(fmap.blocks[v].cols)]
-            for v in range(len(fmap.source.dims))]
+    return [[b.column(j) for j in range(b.cols)] for b in fmap.blocks]
 
 
 def cokernel_of(fmap: ModuleMap, label="coker"):
@@ -668,34 +645,40 @@ def kernel_span(fmap: ModuleMap):
 
 def kernel_cover(m: Module, span):
     """(P, d): the projective cover of the submodule K of m spanned by span
-    (a `kernel_span`, or the unit vectors for K = m), composed with K's
-    inclusion, so that d: P -> m has image K and P ->> K is a projective
-    cover.
+    (a `kernel_span`, or None for K = m), composed with K's inclusion, so
+    that d: P -> m has image K and P ->> K is a projective cover.
 
     K's basis at v is the rows of span[v], so the radical of K at w is
     spanned by the rows' arrow images, read at w's pivot columns.  The rows
     at the positions that `unit_complement` picks there complete it, so
     they generate K minimally, and d sends each generator to its row.  No
-    module is built for K.
+    module is built for K.  For K = m the rows are the unit vectors, and
+    their arrow images are the arrow matrices' columns.
     """
     a = m.algebra
-    rad = [[] for _ in m.dims]
-    for rep in a.arrow_reps:
-        pivots = span[rep.target][1]
-        for row in span[rep.source][0]:
-            img = m.mats[rep.name].apply(row)
-            rad[rep.target].append([img[p] for p in pivots])
-    slots = [(v, rows[c]) for v, (rows, _) in enumerate(span)
-             for c in unit_complement(a.field, rad[v], len(rows))]
+    f = a.field
+    if span is None:
+        rad, dims = radical_spans(m), m.dims
+    else:
+        rad = [[] for _ in m.dims]
+        for rep in a.arrow_reps:
+            pivots = span[rep.target][1]
+            for row in span[rep.source][0]:
+                img = m.mats[rep.name].apply(row)
+                rad[rep.target].append([img[p] for p in pivots])
+        dims = [len(rows) for rows, _ in span]
+    slots = [(v, c) for v, d in enumerate(dims) for c in unit_complement(f, rad[v], d)]
     psum = projective_sum(a, [v for v, _ in slots])
-    return psum, psum_map(psum, m, [row for _, row in slots])
+    z = f.zero()
+    gens = [[z] * c + [f.one()] + [z] * (dims[v] - 1 - c) if span is None else span[v][0][c]
+            for v, c in slots]
+    return psum, psum_map(psum, m, gens)
 
 
 def projective_cover(m: Module):
     """(projective sum P, epi P ->> M) with superfluous kernel: the cover of
-    the whole of M, whose span is the unit vectors at every vertex."""
-    f = m.algebra.field
-    return kernel_cover(m, [(Matrix.identity(f, d).data, range(d)) for d in m.dims])
+    the whole of M."""
+    return kernel_cover(m, None)
 
 
 def min_proj_presentation(m: Module):
@@ -727,9 +710,9 @@ def end_radical_basis(ends):
 def find_isomorphic(mods, m: Module) -> int:
     """The index of the first of mods isomorphic to the indecomposable m, or
     -1: any basis of Hom between isomorphic indecomposables contains an
-    isomorphism."""
+    isomorphism.  m itself is found without a Hom solve."""
     for i, x in enumerate(mods):
-        if x.dims == m.dims and any(h.is_invertible() for h in hom_basis(x, m)):
+        if x is m or x.dims == m.dims and any(h.is_invertible() for h in hom_basis(x, m)):
             return i
     return -1
 
@@ -756,9 +739,13 @@ class DecompositionError(Exception):
     pass
 
 
-def _indecomposable_pieces(m: Module):
+def _indecomposable_pieces(m: Module, known):
     if m.total_dim == 0:
         return []
+    # an isomorphism to an indecomposable certifies m; a sum never has one
+    i = find_isomorphic(known, m)
+    if i >= 0:
+        return [known[i]]
     ends = hom_basis(m, m)
     if len(ends) == 1:
         return [m]
@@ -771,7 +758,7 @@ def _indecomposable_pieces(m: Module):
         split = _fitting_split(m, cand)
         if split is not None:
             a, b = split
-            return _indecomposable_pieces(a) + _indecomposable_pieces(b)
+            return _indecomposable_pieces(a, known) + _indecomposable_pieces(b, known)
     # the trace form decides in characteristic 0 and above dim M; a module
     # with a simple top is local, so indecomposable in every characteristic
     if len(ends) - len(end_radical_basis(ends)) == 1 or len(projective_cover(m)[0].verts) == 1:
@@ -782,11 +769,19 @@ def _indecomposable_pieces(m: Module):
     )
 
 
-def decompose(m: Module):
-    """Indecomposable summands with multiplicities, [(module, mult), ...]."""
+def decompose(m: Module, known=()):
+    """Indecomposable summands with multiplicities, [(module, mult), ...].
+
+    known lists indecomposable modules, such as the nodes of a knit.  A
+    summand isomorphic to one of them is that module object, and the
+    isomorphism is its certificate: no End is computed for it.
+    """
     classes, mults = [], []
-    for p in _indecomposable_pieces(m):
-        i = find_isomorphic(classes, p)
+    for p in _indecomposable_pieces(m, known):
+        # a known module may come back more than once: one class, by identity
+        i = next((j for j, q in enumerate(classes) if q is p), None)
+        if i is None:
+            i = find_isomorphic(classes, p)
         if i >= 0:
             mults[i] += 1
         else:

@@ -558,6 +558,21 @@ def test_capped_fragment_carries_exact_arrows_only(cap):
         assert full.arrows.get((i, j)) == m
 
 
+@pytest.mark.parametrize("cap", [40, 60])
+@pytest.mark.parametrize("field", ["gf(3)", "gf(2)"])
+def test_a31_onepoint_ext_knit_over_small_primes_is_the_rational_knit(field, cap):
+    # these knits used to raise DecompositionError on a summand that no
+    # Fitting candidate splits and that the trace form, exact only above
+    # dim M in characteristic p, could not certify.  Each such summand is
+    # isomorphic to a node found earlier, and that isomorphism certifies it
+    a = _algebra_over("a31_onepoint_ext.q", field)
+    ref, frag = knit(_algebra_over("a31_onepoint_ext.q", "rational"), cap), knit(a, cap)
+    assert frag.incomplete_reason == ref.incomplete_reason == "node_cap"
+    assert [m.dims for m in frag.nodes] == [m.dims for m in ref.nodes]
+    assert frag.arrows == ref.arrows
+    assert frag.tau_links == ref.tau_links
+
+
 # ---------------------------------------------------------------------------
 # labels are computed on first read, by today's rule
 
@@ -579,8 +594,8 @@ _LABEL_CASES = [pytest.param(name, field, id=f"{name}-{field}")
 
 @pytest.mark.parametrize("name,field", _LABEL_CASES)
 def test_knit_labels_on_first_read(name, field, monkeypatch):
-    # cap 24 closes every finite case here; past 24 nodes the GF(3) knit of
-    # a31_onepoint_ext raises DecompositionError (ROADMAP item 1)
+    # cap 24 closes every finite case here and stops the two a31 knits,
+    # which are representation-infinite, at node_cap
     import quiverkit.arquiver as arquiver
     calls = []
     real = arquiver.loewy_label

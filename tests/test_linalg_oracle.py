@@ -6,7 +6,9 @@ over Q, GF(7) and GF(32003).  The reduced row-echelon form is unique, so
 `solve_many`, `unit_complement` and `SpanTracker` are checked against
 sympy's rank, and `matmul` against the product computed without quiverkit.
 `transpose` and `Matrix.from_columns` are checked against the entries they
-move, on the same shapes.
+move, on the same shapes.  `echelon` and `kernel_basis`, which eliminate
+without building an `rref` result, must read exactly what `rref` gives, over
+Q, GF(2) and GF(32003).
 
 Over Q a scalar is an int when integral and a Fraction otherwise; the inputs
 mix ints with Fractions, integral ones included, and every value the field
@@ -30,6 +32,7 @@ from quiverkit.linalg import (
     PrimeField,
     RationalField,
     SpanTracker,
+    echelon,
     kernel_basis,
     matmul,
     rref,
@@ -160,6 +163,56 @@ def test_kernel_has_sympy_nullity(field, data):
     assert _sympy_rank(field, ker, cols) == len(ker)
     if field == Q and _all_normal(rows):
         assert _all_normal(ker)
+
+
+LEAN_FIELDS = [RationalField(), PrimeField(2), PrimeField(32003)]
+
+
+def _kernel_from_rref(field, res, cols):
+    """The kernel basis read from a reduced echelon form: one vector per free
+    column, 1 there and minus that column's entries at the pivots."""
+    out = []
+    for fc in (c for c in range(cols) if c not in res.pivot_columns):
+        v = [field.zero()] * cols
+        v[fc] = field.one()
+        for row, pc in zip(res.reduced.data, res.pivot_columns):
+            if row[fc]:
+                v[pc] = field.neg(row[fc])
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("field", LEAN_FIELDS, ids=[f.name() for f in LEAN_FIELDS])
+@SETTINGS
+@given(data=st.data())
+def test_echelon_and_kernel_basis_read_the_rref(field, data):
+    # `echelon` and `kernel_basis` eliminate without `rref`; they must give
+    # what `rref` gives, including on rows whose pivot entry is already 1,
+    # which the elimination does not scale
+    rows, cols = data.draw(matrices(field))
+    ones = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    for row, one in zip(rows, ones):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if one and lead is not None:
+            row[lead] = field.one()
+    given_rows = [list(row) for row in rows]
+    m = Matrix(field, rows, len(rows), cols)
+    res = rref(m)
+    ech, pivots = echelon(field, rows, cols)
+    assert (ech, pivots) == (res.reduced.data[:res.rank], res.pivot_columns)
+    assert kernel_basis(m) == _kernel_from_rref(field, res, cols)
+    assert rows == given_rows and m.data == given_rows  # inputs left as they were
+    if field == Q and _all_normal(rows):
+        assert _all_normal(ech)
+
+
+@pytest.mark.parametrize("field", LEAN_FIELDS, ids=[f.name() for f in LEAN_FIELDS])
+def test_unit_blocks_eliminate_to_themselves(field):
+    one, z = field.one(), field.zero()
+    assert echelon(field, [[one]], 1) == ([[one]], [0])
+    assert kernel_basis(Matrix(field, [[one]])) == []
+    assert kernel_basis(Matrix(field, [[z]])) == [[one]]
+    assert echelon(field, [[z, one], [one, one]], 2) == ([[one, z], [z, one]], [0, 1])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -99,6 +99,52 @@ def test_json_roundtrip():
     assert presentation_from_json(data) == pres
 
 
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+_BAD_JSON = {
+    "misspelt kind": _set("field", {"kind": "rationl", "p": 7}),
+    "unknown kind": _set("field", {"kind": "gf2", "p": 2}),
+    "rational with p": _set("field", {"kind": "rational", "p": 7}),
+    "gf without p": _set("field", {"kind": "gf"}),
+    "gf of a non-prime": _set("field", {"kind": "gf", "p": 8}),
+    "gf of a string": _set("field", {"kind": "gf", "p": "7"}),
+    "unknown top-level key": _set("comment", "extra"),
+    "missing vertices": lambda d: d.pop("vertices"),
+    "missing relations": lambda d: d.pop("relations"),
+    "arrow without a name": lambda d: d["arrows"][0].pop("name"),
+    "arrow with an unknown key": lambda d: d["arrows"][0].__setitem__("colour", "red"),
+    "term without a path": lambda d: d["relations"][0][0].pop("path"),
+    "letters as a coefficient": lambda d: d["relations"][0][0].__setitem__("coeff", "x"),
+    "a fraction over GF(p)": lambda d: d["relations"][0][0].__setitem__("coeff", "1/2"),
+    "a list as a coefficient": lambda d: d["relations"][0][0].__setitem__("coeff", [1]),
+    "not an object": lambda d: d.clear(),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_JSON))
+def test_malformed_presentation_json_is_a_parse_error(case):
+    # presentation_to_json writes exactly these keys and field kinds; any
+    # other input is refused in one line, never read as something else
+    data = json.loads(json.dumps(presentation_to_json(load_fixture("d4_tilted.q"))))
+    _BAD_JSON[case](data)
+    with pytest.raises(ParseError) as err:
+        presentation_from_json(data)
+    assert "\n" not in str(err.value)
+
+
+def test_rational_presentation_json_roundtrip():
+    text = "field: rational\nvertices: 1 2 3\narrows: a: 1 -> 2, b: 2 -> 3\nrelations: 2*a*b\n"
+    pres = parse_presentation(text)
+    data = json.loads(json.dumps(presentation_to_json(pres)))
+    assert data["field"] == {"kind": "rational"}
+    assert presentation_from_json(data) == pres
+    data["relations"][0][0]["coeff"] = "1/0"
+    with pytest.raises(ParseError):
+        presentation_from_json(data)
+
+
 def test_to_dot_single_edge():
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     dot = to_dot(q)

@@ -616,3 +616,39 @@ def test_restriction_refuses_modules_the_ideal_does_not_annihilate():
                         r = restrict_along_quotient(m, quot)
                         assert module_from_json(quot, module_to_json(r)).dims == r.dims
     assert cases == 164 and 0 < refused < cases
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(3)"])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_decompose_against_known_nodes_returns_the_nodes(name, field):
+    # each summand of a sum of knit nodes is isomorphic to a node, so it
+    # comes back as that node object, with the multiplicity that decompose
+    # finds without the nodes; a copy of a node comes back as the node
+    from quiverkit.arquiver import knit
+    a = _fixture_over(name, field)
+    nodes = knit(a, 60).nodes
+    picks = nodes[:4] + nodes[-4:]
+    sums = ([[x, y] for i, x in enumerate(picks) for y in picks[i:]]
+            + [[x, y, x] for x, y in zip(picks, picks[1:])])
+    for parts in sums:
+        m = direct_sum(a, parts)
+        plain, known = decompose(m), decompose(m, nodes)
+        assert len(known) == len(plain)
+        for p, mult in known:
+            assert any(p is n for n in nodes)
+            assert [k for q, k in plain if is_isomorphic(p, q)] == [mult]
+    for n in nodes:
+        assert decompose(Module(a, n.dims, n.mats), nodes) == [(n, 1)]
+
+
+def test_decompose_never_matches_a_sum_to_a_known_node_of_its_dimension(alg_a2):
+    # S(1)+S(2) and P(1) share a dimension vector, but no map between them
+    # is invertible: the sum is split and each simple certified on its own
+    s1, s2, p1 = simple(alg_a2, "1"), simple(alg_a2, "2"), projective(alg_a2, "1")
+    m = direct_sum(alg_a2, [s1, s2])
+    assert m.dims == p1.dims
+    out = decompose(m, [p1])
+    assert sorted((q.dims, k) for q, k in out) == [((0, 1), 1), ((1, 0), 1)]
+    assert all(q is not p1 for q, _ in out)
+    out = decompose(direct_sum(alg_a2, [s2, m]), [p1, s2])
+    assert [(q is s2, k) for q, k in out if q.dims == (0, 1)] == [(True, 2)]
