@@ -192,8 +192,9 @@ def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
     Paths are enumerated by increasing length while the two-sided span of
     the relations is saturated by arrow multiplication on both sides; the
     enumeration stops at the first length where every path lies in that
-    span.  A presentation needing paths longer than `cap` is rejected as
-    not finite dimensional (or not admissible).
+    span.  A presentation needing paths longer than `cap` is rejected, and
+    the error names the cap: an acyclic quiver whose longest path reaches
+    the cap, such as linear A31, needs a larger one.
     """
     q = pres.quiver
     f = pres.field
@@ -243,8 +244,9 @@ def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
     while True:
         if N > cap:
             raise BuildError(
-                f"no closure within path length {cap}; presentation is not "
-                "finite dimensional or the ideal is not admissible"
+                f"path-length cap {cap} tripped before the relations closed: the "
+                "presentation is not finite dimensional, or the ideal is not "
+                f"admissible, or it needs a cap above {cap} (build_algebra's cap)"
             )
         extend_paths(N)
         npaths = len(path_list)
@@ -465,22 +467,23 @@ class Ideal:
         return len(self.basis)
 
     def is_two_sided(self) -> bool:
+        """Whether the span is closed under multiplication on both sides by
+        the idempotents and the arrow representatives, which generate the
+        parent; `two_sided_ideal` saturates under the whole basis and is
+        the reference check."""
         a = self.parent
         t = SpanTracker(a.field)
         for v in self.basis:
             t.add(v)
-        for v in self.basis:
-            for k in range(a.dim):
-                if not t.contains(a.mul_vec(a.unit(k), v)):
-                    return False
-                if not t.contains(a.mul_vec(v, a.unit(k))):
-                    return False
-        return True
+        gens = [a.unit(e) for e in a.idempotents] + [list(r.vector) for r in a.arrow_reps]
+        return all(t.contains(a.mul_vec(g, v)) and t.contains(a.mul_vec(v, g))
+                   for v in self.basis for g in gens)
 
 
 def two_sided_ideal(a: BasedAlgebra, generators) -> Ideal:
     """Saturate the span of the generators under multiplication by basis
-    elements on both sides."""
+    elements on both sides: the reference check of `quotient_by_vertex` and
+    of `Ideal.is_two_sided`."""
     t = SpanTracker(a.field)
     work = []
     for g in generators:

@@ -705,8 +705,9 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
     verdict = check_local_slice(b, frag, sigma_idx)
     if not verdict.holds:
         raise ARQuiverError(f"the given set is not a local slice: {verdict.tags()}")
-    for summand, _ in decompose(m):
-        if frag.find(summand) not in sigma_idx:
+    # a summand on the slice comes back as the slice's node object
+    for summand, _ in decompose(m, frag.nodes):
+        if not any(summand is frag.nodes[i] for i in sigma_idx):
             raise ARQuiverError("a summand of the module is not on the local slice")
 
     tq = tilted_quotient(b, sigma_modules)

@@ -372,8 +372,10 @@ def _dispatch(args):
         if args.slice:
             idx = _resolve_slice(args, a, frag)
         else:
-            # the nodes of m's summands; the first anchors the search
-            parts = [frag.find(s) for s, _ in decompose(m)]
+            # the nodes of m's summands, which come back as node objects
+            # (-1 for none); the first anchors the search
+            parts = [next((i for i, n in enumerate(frag.nodes) if n is s), -1)
+                     for s, _ in decompose(m, frag.nodes)]
             found = find_local_slices_through(a, frag, parts[0])
             if not found:
                 raise ARQuiverError("no local slice through the module")

@@ -7,12 +7,14 @@ bimodule E, built by one constructor (`_square_zero_extension`):
   on A and a module M, with one new source vertex whose indecomposable
   projective has radical M;
 * one-point coextension: the dual construction, the new vertex is a sink;
-* the bimodule of degree-2 self-extensions Ext^2(D A, A) with its exact
-  left and right actions: its blocks Ext^2(I(j), P(i)) are read from
-  `homology.ext_group` over minimal resolutions of the indecomposable
-  injectives; the actions of the arrow representatives are computed in
-  generator coordinates, one chain lift per arrow, and every basis element
-  acts through the arrow words of its basis expression (`ext2_bimodule`);
+* the bimodule of degree-2 self-extensions Ext^2(D A, A), held like
+  every bimodule here as its rows e_i E and columns E e_j (`Bimodule`):
+  its blocks Ext^2(I(j), P(i)) are read from `homology.ext_group` over
+  minimal resolutions of the indecomposable injectives; the actions of the
+  arrow representatives are computed in generator coordinates, one chain
+  lift per arrow, and make the rows and columns modules, on which every
+  basis element acts through the arrow words of its basis expression
+  (`ext2_bimodule`);
 * the trivial (relation) extension A x Ext^2(D A, A) for algebras of
   global dimension at most 2;
 * an instance checker for commutation of the two constructions along a
@@ -37,7 +39,7 @@ from quiverkit.homology import (
     lift_chain_map,
     min_resolution,
 )
-from quiverkit.linalg import Matrix, lincomb, unit_complement
+from quiverkit.linalg import Matrix, unit_complement
 from quiverkit.quiver import quiver_isomorphism
 from quiverkit.repmod import (
     Module,
@@ -47,7 +49,8 @@ from quiverkit.repmod import (
     injective,
     projective,
     projective_cover,
-    right_action,
+    radical_spans,
+    right_multiples,
 )
 
 
@@ -85,30 +88,31 @@ def _padded_reps(a: BasedAlgebra, dim):
             for r in a.arrow_reps]
 
 
-def _column_terms(mat, t, offset):
-    """The nonzero entries of column t of mat, as terms from position offset."""
-    return tuple((offset + u, x) for u, x in enumerate(mat.column(t)) if x)
-
-
 def _square_zero_extension(a: BasedAlgebra, e: Bimodule, e_labels, arrows):
     """The square-zero extension a x E of a by the bimodule e.
 
     Its basis is a's, then e's, labelled e_labels.  Multiplication is
-    (x, u)(x', u') = (x x', x.u' + u.x'), with x.u and u.x the columns of
-    e's left and right actions; E.E = 0 and E lies in the radical.  For
-    each (name, t) in arrows, e's basis vector t becomes a new arrow
+    (x, u)(x', u') = (x x', x.u' + u.x'), with u.b_k read from e's rows and
+    b_k.u from its columns; E.E = 0 and E lies in the radical.  For each
+    (name, t) in arrows, e's basis vector t becomes a new arrow
     representative of that name, from block e.blocks[t].
     """
     f = a.field
     na = a.dim
     dim = na + e.dim
     mult = dict(a.mult)
-    for k in range(na):
-        for t in range(e.dim):
-            for key, mat in (((k, na + t), e.left[k]), ((na + t, k), e.right[k])):
-                terms = _column_terms(mat, t, na)
+    for (i, j), t in e.start.items():
+        for u, unit in enumerate(Matrix.identity(f, e.cols[j].dims[i]).data):
+            for k, img in right_multiples(e.rows[i], j, unit).items():  # u . b_k
+                terms = tuple((na + e.start[(i, a.target[k])] + r, x)
+                              for r, x in enumerate(img) if x)
                 if terms:
-                    mult[key] = terms
+                    mult[(na + t + u, k)] = terms
+            for k, img in right_multiples(e.cols[j], i, unit).items():  # b_k . u
+                terms = tuple((na + e.start[(a.source[k], j)] + r, x)
+                              for r, x in enumerate(img) if x)
+                if terms:
+                    mult[(k, na + t + u)] = terms
     reps = _padded_reps(a, dim)
     for name, t in arrows:
         vec = [f.zero()] * dim
@@ -139,15 +143,13 @@ def one_point_extension(a: BasedAlgebra, m: Module) -> BasedAlgebra:
                       list(a.source) + [nverts], list(a.target) + [nverts],
                       list(a.idempotents) + [na], list(a.radical),
                       {**a.mult, (na, na): ((na, f.one()),)}, _padded_reps(a, na + 1))
-    # m, grouped by vertex, as a bimodule: the new idempotent is the left
-    # identity, a acts on the right as on m
-    moff = m.offsets()
-    right = [Matrix.zeros(f, n, n) for _ in range(na + 1)]
-    for v in range(nverts):
-        for k, mat in right_action(m, v).items():  # v -> target(b_k)
-            _place(right[k], mat, moff[a.target[k]], moff[v])
-    e = Bimodule(ak, [(nverts, v) for v in range(nverts) for _ in range(m.dims[v])],
-                 [Matrix.zeros(f, n, n)] * na + [Matrix.identity(f, n)], right)
+    ak._expressions = a.basis_expressions() + [((f.one(), nverts, ()),)]
+    # m is the one row of the bimodule, at the new vertex: a acts on it as
+    # on m, and on the columns only the new idempotent acts
+    op = opposite_algebra(ak)
+    zero = [0] * (nverts + 1)
+    e = Bimodule(ak, [Module(ak, zero, {})] * nverts + [Module(ak, m.dims + (0,), m.mats)],
+                 [Module(op, [0] * nverts + [d], {}) for d in m.dims] + [Module(op, zero, {})])
     slots = e.arrow_positions()
     names = _fresh_names("x", len(slots), {r.name for r in a.arrow_reps})
     return _square_zero_extension(ak, e, _fresh_names("m", n, taken), zip(names, slots))
@@ -165,36 +167,48 @@ def one_point_coextension(a: BasedAlgebra, n: Module) -> BasedAlgebra:
 
 @dataclass
 class Bimodule:
-    """A bimodule E with its left and right A-actions: Ext^2(D A, A), or M
-    of a one-point extension.  Basis vector t lies in e_i E e_j for the
-    block (i, j) = blocks[t]; in Ext^2 it is a degree-2 extension of the
-    injective at j by the projective at i.
+    """A bimodule E over A, held as its rows e_i E, right A-modules, and its
+    columns E e_j, right modules over the opposite algebra: Ext^2(D A, A),
+    or M of a one-point extension.  The block e_i E e_j is rows[i] at j and
+    cols[j] at i, on one basis.  E's basis runs column by column, and
+    through E e_j by row: basis vector t lies in e_i E e_j for the block
+    (i, j) = blocks[t], whose first vector is at start[(i, j)].  In Ext^2
+    it is a degree-2 extension of the injective at j by the projective at i.
     """
 
     algebra: BasedAlgebra
-    blocks: list  # (source vertex index, target vertex index) per basis vector
-    left: list    # Matrix E -> E per algebra basis element
-    right: list
+    rows: list  # e_i E per vertex index i
+    cols: list  # E e_j per vertex index j
+
+    def __post_init__(self):
+        self.start = {}
+        self.blocks = []
+        for j, col in enumerate(self.cols):
+            for i, d in enumerate(col.dims):
+                self.start[(i, j)] = len(self.blocks)
+                self.blocks += [(i, j)] * d
 
     @property
     def dim(self):
         return len(self.blocks)
 
     def block_dims(self):
-        out = {}
-        for i, j in self.blocks:
-            out[(i, j)] = out.get((i, j), 0) + 1
-        return out
+        return {(i, j): d for j, col in enumerate(self.cols)
+                for i, d in enumerate(col.dims) if d}
 
     def arrow_positions(self):
         """Basis positions, earliest first, whose unit vectors complete
-        rad.E + E.rad to E (`linalg.unit_complement` of the columns of the
-        radical's left and right actions): a basis of E/(rad.E + E.rad), the
-        new arrows of the square-zero extension."""
-        a = self.algebra
-        images = [col for r in a.radical for mat in (self.left[r], self.right[r])
-                  for col in mat.transpose().data]
-        return unit_complement(a.field, images, self.dim)
+        rad.E + E.rad to E: a basis of E/(rad.E + E.rad), the new arrows of
+        the square-zero extension.  Every path of positive length starts
+        and ends with an arrow, so rad.E + E.rad is spanned in each block by
+        the arrows' images (`radical_spans`) on its row and on its column,
+        and each block is completed by `linalg.unit_complement`."""
+        f = self.algebra.field
+        on_rows = [radical_spans(m) for m in self.rows]
+        on_cols = [radical_spans(m) for m in self.cols]
+        return [t + p for (i, j), t in self.start.items()
+                for p in unit_complement(f, on_rows[i][j] + on_cols[j][i],
+                                         self.cols[j].dims[i])]
 
     def arrow_block_dims(self):
         """Dimensions per block of E modulo (rad.E + E.rad): the new-arrow
@@ -203,14 +217,6 @@ class Bimodule:
         for t in self.arrow_positions():
             out[self.blocks[t]] = out.get(self.blocks[t], 0) + 1
         return out
-
-    def act_left(self, algebra_vec, evec):
-        return lincomb(self.algebra.field, self.dim, self.dim,
-                       zip(algebra_vec, self.left)).apply(evec)
-
-    def act_right(self, algebra_vec, evec):
-        return lincomb(self.algebra.field, self.dim, self.dim,
-                       zip(algebra_vec, self.right)).apply(evec)
 
 
 def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
@@ -226,9 +232,10 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
     in one block are reduced together by its `ExtGroup.classes_of`.
 
     The arrows' actions make each row e_i E a right C-module and each column
-    E e_j a right module over the opposite algebra, and every basis element
-    b acts on them as on any module, by `right_action`: through the arrow
-    words of b's basis expression, left(b) = L(rho_1)...L(rho_n) and
+    E e_j a right module over the opposite algebra, and E is returned as
+    these rows and columns.  Every basis element b acts on them as on any
+    module (`right_multiples`): through the arrow words of b's basis
+    expression, left(b) = L(rho_1)...L(rho_n) and
     right(b) = R(rho_n)...R(rho_1), each word prefix once.
     """
     gd = global_dim(c, cap=3)
@@ -244,21 +251,15 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
         if t3 is not None and not t3.is_zero():
             raise ExtensionError("resolution longer than the global dimension bound")
 
-    blocks = {}
-    start = {}  # block -> position of its first basis vector
-    block_of = []
-    for j in range(nverts):
-        for i in range(nverts):
-            blocks[(i, j)] = ext_group(injs[j], projs[i], 2, resolutions[j])
-            start[(i, j)] = len(block_of)
-            block_of += [(i, j)] * len(blocks[(i, j)].cocycles)
-    dimE = len(block_of)
+    groups = {(i, j): ext_group(injs[j], projs[i], 2, resolutions[j])
+              for j in range(nverts) for i in range(nverts)}
+    nonzero = any(g.cocycles for g in groups.values())
 
     def action(source, target, images):
         """The block source -> target of an arrow's action, from the images
         of the cocycles of source."""
-        return Matrix.from_columns(f, blocks[target].classes_of(images),
-                                   len(blocks[target].cocycles))
+        return Matrix.from_columns(f, groups[target].classes_of(images),
+                                   len(groups[target].cocycles))
 
     columns = [{} for _ in range(nverts)]  # E e_j: arrow name -> L(rho) on it
     rows = [{} for _ in range(nverts)]     # e_i E: arrow name -> R(rho) on it
@@ -266,43 +267,27 @@ def ext2_bimodule(c: BasedAlgebra) -> Bimodule:
         s, t = rep.source, rep.target
         lam = [m.mats[rep.name].transpose() for m in injs]  # rho . - : P(t) -> P(s)
         for j in range(nverts):
-            src = blocks[(t, j)]
+            src = groups[(t, j)]
             if src.cocycles:
                 columns[j][rep.name] = action((t, j), (s, j), [
                     src.term.postcompose(lam, coords) for coords in src.cocycles])
         p2 = resolutions[t].term_module(2)
-        if not dimE or p2 is None or p2.is_zero():
+        if not nonzero or p2 is None or p2.is_zero():
             continue
         mu = ModuleMap(injs[t], injs[s], [m.mats[rep.name].transpose() for m in projs])
         lam2 = lift_chain_map(mu, resolutions[t], resolutions[s], 2)[2]
         if lam2 is None:
             continue
         for i in range(nverts):
-            src = blocks[(i, s)]
+            src = groups[(i, s)]
             if src.cocycles:
                 h = hom_matrix(lam2, resolutions[t].terms[2], src.term, projs[i])
                 rows[i][rep.name] = action((i, s), (i, t), [h.apply(x) for x in src.cocycles])
 
-    left = [Matrix.zeros(f, dimE, dimE) for _ in range(c.dim)]
-    right = [Matrix.zeros(f, dimE, dimE) for _ in range(c.dim)]
-    op = c.opposite()
-    for j in range(nverts):
-        col = Module(op, [len(blocks[(i, j)].cocycles) for i in range(nverts)], columns[j])
-        for v in range(nverts):
-            for k, mat in right_action(col, v).items():  # (v, j) -> (source(b_k), j)
-                _place(left[k], mat, start[(c.source[k], j)], start[(v, j)])
-    for i in range(nverts):
-        row = Module(c, [len(blocks[(i, j)].cocycles) for j in range(nverts)], rows[i])
-        for v in range(nverts):
-            for k, mat in right_action(row, v).items():  # (i, v) -> (i, target(b_k))
-                _place(right[k], mat, start[(i, c.target[k])], start[(i, v)])
-    return Bimodule(c, block_of, left, right)
-
-
-def _place(big, mat, row, col):
-    """Write mat into big with its top left entry at (row, col)."""
-    for big_row, mat_row in zip(big.data[row:], mat.data):
-        big_row[col:col + mat.cols] = mat_row
+    dims = [[len(groups[(i, j)].cocycles) for j in range(nverts)] for i in range(nverts)]
+    return Bimodule(c, [Module(c, dims[i], rows[i]) for i in range(nverts)],
+                    [Module(c.opposite(), [d[j] for d in dims], columns[j])
+                     for j in range(nverts)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +299,8 @@ def relation_extension(c: BasedAlgebra) -> BasedAlgebra:
     by the bimodule, with one new arrow per basis vector of its top."""
     ext2 = ext2_bimodule(c)
     e_labels = _fresh_names("n", ext2.dim, set(c.labels))
-    out = _square_zero_extension(c, ext2, e_labels,
-                                 [(e_labels[t], t) for t in ext2.arrow_positions()])
-    out._ext2 = ext2  # kept for tests
-    return out
+    return _square_zero_extension(c, ext2, e_labels,
+                                  [(e_labels[t], t) for t in ext2.arrow_positions()])
 
 
 def restrict_to_base(m: Module, c: BasedAlgebra) -> Module:

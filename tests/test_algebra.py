@@ -89,6 +89,16 @@ def test_cycle_avoiding_every_relation_rejected_up_front():
         build_algebra(pres)
 
 
+def test_path_length_cap_is_named_and_can_be_raised():
+    # linear A32 is finite dimensional; its longest path has 31 arrows
+    vertices = " ".join(str(v) for v in range(1, 33))
+    arrows = ", ".join(f"a{v}: {v} -> {v + 1}" for v in range(1, 32))
+    pres = parse_presentation(f"field: rational\nvertices: {vertices}\narrows: {arrows}\n")
+    with pytest.raises(BuildError, match="path-length cap 30 tripped.*a cap above 30"):
+        build_algebra(pres)
+    assert build_algebra(pres, cap=40).dim == 32 * 33 // 2
+
+
 def test_loop_with_admissible_relation_builds():
     pres = parse_presentation(
         "field: rational\nvertices: 1\narrows: x: 1 -> 1\nrelations: x*x\n")
@@ -150,6 +160,24 @@ def test_quotient_dimension_matches_ideal():
                     assert sorted(q.ideal.basis) == sorted(ideal.basis)
                     assert q.dim == alg.dim - ideal.dim
                     assert ideal.is_two_sided()
+
+
+def _saturates(ideal):
+    """The full-basis check: saturating under every basis element on both
+    sides adds nothing."""
+    return two_sided_ideal(ideal.parent, ideal.basis).dim == ideal.dim
+
+
+def test_one_sided_ideal_is_not_two_sided(alg_c):
+    # e_v A is a right ideal, and a left ideal exactly when no arrow from
+    # another vertex ends at v
+    seen = set()
+    for v in range(len(alg_c.vertices)):
+        ideal = Ideal(alg_c, [alg_c.unit(k) for k in range(alg_c.dim) if alg_c.source[k] == v])
+        expected = not any(r.target == v != r.source for r in alg_c.arrow_reps)
+        assert ideal.is_two_sided() == _saturates(ideal) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def _assert_sparse_graded_table(a):

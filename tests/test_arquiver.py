@@ -303,6 +303,16 @@ def test_extend_rejects_bad_input(alg_b, frag_b):
         extend_cluster_tilted(alg_b, sigma[:3], simple(alg_b, "2"), frag=frag_b)
 
 
+def test_extend_rejects_a_summand_off_the_slice(alg_b, frag_b):
+    idx = _boldface(alg_b, frag_b)
+    sigma = [frag_b.nodes[i] for i in idx]
+    off = next(n for i, n in enumerate(frag_b.nodes) if i not in idx)
+    m = direct_sum(alg_b, [sigma[0], off])
+    with pytest.raises(ARQuiverError,
+                       match="a summand of the module is not on the local slice"):
+        extend_cluster_tilted(alg_b, sigma, m, frag=frag_b)
+
+
 def test_extend_along_whole_slice_module(alg_b, frag_b):
     idx = _boldface(alg_b, frag_b)
     sigma = [frag_b.nodes[i] for i in idx]

@@ -2,7 +2,8 @@
 
 `ext2_bimodule` builds the actions of the arrow representatives only and
 lets every basis element act through the arrow words of its basis
-expression.  The reference below is the direct route: one chain lift per
+expression, on the bimodule's rows and columns; `dense_actions` places
+those actions into one matrix on E per basis element.  The reference below is the direct route: one chain lift per
 basis element and one class read per cocycle, composing module maps.
 Both must give the same matrix for every basis element, on every fixture of
 global dimension at most 2 and on its one-point extensions by each P(v),
@@ -47,6 +48,28 @@ from test_yoneda_route import _ext_class
 FIXTURES = ["a31_clustertilted.q", "a31_onepoint_ext.q", "d4_clustertilted.q",
             "d4_tilted.q", "d4_tilted_ext_s2.q", "d5_clustertilted.q"]
 FIELDS = ["rational", "gf(32003)", "gf(3)", "gf(7)"]
+
+
+def _place(big, mat, row, col):
+    """Write mat into big with its top left entry at (row, col)."""
+    for big_row, mat_row in zip(big.data[row:], mat.data):
+        big_row[col:col + mat.cols] = mat_row
+
+
+def dense_actions(e):
+    """The left and right actions of every basis element of e.algebra, as
+    dim E x dim E matrices: `right_action` on e's columns and rows, each
+    block placed at the positions of its blocks of E."""
+    c = e.algebra
+    f = c.field
+    left = [Matrix.zeros(f, e.dim, e.dim) for _ in range(c.dim)]
+    right = [Matrix.zeros(f, e.dim, e.dim) for _ in range(c.dim)]
+    for (i, j), t in e.start.items():
+        for k, mat in right_action(e.rows[i], j).items():  # (i, j) -> (i, target(b_k))
+            _place(right[k], mat, e.start[(i, c.target[k])], t)
+        for k, mat in right_action(e.cols[j], i).items():  # (i, j) -> (source(b_k), j)
+            _place(left[k], mat, e.start[(c.source[k], j)], t)
+    return left, right
 
 
 def _reference_actions(c, bimodule):
@@ -133,9 +156,10 @@ def test_the_cases_cover_every_field_and_some_bimodule():
 def test_actions_match_the_reference_route(name, field):
     for label, c, e in _cases(name, field):
         left, right = _reference_actions(c, e)
+        e_left, e_right = dense_actions(e)
         for k in range(c.dim):
-            assert e.left[k] == left[k], (label, c.labels[k])
-            assert e.right[k] == right[k], (label, c.labels[k])
+            assert e_left[k] == left[k], (label, c.labels[k])
+            assert e_right[k] == right[k], (label, c.labels[k])
 
 
 @pytest.mark.parametrize("name,field", [("d4_clustertilted.q", "rational"),
@@ -144,10 +168,11 @@ def test_whole_slice_extensions_match_the_reference_route(name, field):
     for label, c, e in _slice_cases(name, field):
         assert e.dim > 10
         left, right = _reference_actions(c, e)
-        assert e.left == left and e.right == right, label
+        e_left, e_right = dense_actions(e)
+        assert e_left == left and e_right == right, label
         for x in range(c.dim):
             for y in range(c.dim):
-                assert e.left[x] @ e.right[y] == e.right[y] @ e.left[x], (label, x, y)
+                assert e_left[x] @ e_right[y] == e_right[y] @ e_left[x], (label, x, y)
 
 
 def _action(f, mats, vec):
@@ -161,14 +186,15 @@ def test_bimodule_axioms(name, field):
         if not e.dim:
             continue
         f = c.field
+        left, right = dense_actions(e)
         for x in range(c.dim):
             for y in range(c.dim):
                 # the two actions commute
-                assert e.left[x] @ e.right[y] == e.right[y] @ e.left[x], (label, x, y)
+                assert left[x] @ right[y] == right[y] @ left[x], (label, x, y)
                 # left is multiplicative and right anti-multiplicative
                 xy = c.mul_vec(c.unit(x), c.unit(y))
-                assert _action(f, e.left, xy) == e.left[x] @ e.left[y], (label, x, y)
-                assert _action(f, e.right, xy) == e.right[y] @ e.right[x], (label, x, y)
+                assert _action(f, left, xy) == left[x] @ left[y], (label, x, y)
+                assert _action(f, right, xy) == right[y] @ right[x], (label, x, y)
 
 
 def test_batch_classes_reject_a_non_cocycle_column():

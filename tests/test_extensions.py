@@ -18,10 +18,8 @@ from quiverkit.extensions import (
 )
 from quiverkit.homology import ext_dim
 from quiverkit.arquiver import transport_module
-from quiverkit.linalg import Matrix
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import (
-    Module,
     direct_sum,
     injective,
     is_isomorphic,
@@ -30,6 +28,7 @@ from quiverkit.repmod import (
     simple,
     zero_module,
 )
+from test_bimodule_oracle import dense_actions
 
 
 def test_extension_by_zero_module(alg_b):
@@ -152,7 +151,7 @@ def test_relation_extension_rebuilds(alg_c, alg_b):
         extra_matrices=([cartan_matrix(R)], [cartan_matrix(alg_b)]))
     assert perm is not None
     # the second summand squares to zero
-    E = R._ext2
+    E = ext2_bimodule(alg_c)
     na = alg_c.dim
     for t in range(E.dim):
         for u in range(E.dim):
@@ -235,22 +234,23 @@ def test_commutation_report_json(alg_a2):
 def test_bimodule_actions_are_compatible(alg_c):
     # (x.e).y == x.(e.y) on every basis triple, and idempotents grade blocks
     E = ext2_bimodule(alg_c)
+    left, right = dense_actions(E)
     a = alg_c
     f = a.field
     for t in range(E.dim):
         unit = [f.zero()] * E.dim
         unit[t] = f.one()
         i, j = E.blocks[t]
-        left_e = E.act_left(a.unit(a.idempotents[i]), unit)
-        right_e = E.act_right(a.unit(a.idempotents[j]), unit)
+        left_e = left[a.idempotents[i]].apply(unit)
+        right_e = right[a.idempotents[j]].apply(unit)
         assert left_e == unit and right_e == unit
     for x in range(a.dim):
         for y in range(a.dim):
             for t in range(E.dim):
                 unit = [f.zero()] * E.dim
                 unit[t] = f.one()
-                lhs = E.act_right(a.unit(y), E.act_left(a.unit(x), unit))
-                rhs = E.act_left(a.unit(x), E.act_right(a.unit(y), unit))
+                lhs = right[y].apply(left[x].apply(unit))
+                rhs = left[x].apply(right[y].apply(unit))
                 assert lhs == rhs
 
 
@@ -277,21 +277,11 @@ def test_lifted_projective_splits_over_base(alg_c):
     # matching slice of the degree-2 extension bimodule, as modules
     from quiverkit.extensions import restrict_to_base
     R = relation_extension(alg_c)
-    E = R._ext2
-    f = alg_c.field
-    units = Matrix.identity(f, E.dim).data
+    E = ext2_bimodule(alg_c)
     for vi, v in enumerate(alg_c.vertices):
-        # e_v . E: the blocks (v, j) of E.right, at the arrow representatives
-        at = [[t for t, b in enumerate(E.blocks) if b == (vi, j)]
-              for j in range(len(alg_c.vertices))]
-        row = Module(alg_c, [len(ts) for ts in at], {
-            rep.name: Matrix.from_columns(f, [
-                [E.act_right(rep.vector, units[u])[w] for w in at[rep.target]]
-                for u in at[rep.source]], len(at[rep.target]))
-            for rep in alg_c.arrow_reps})
         p = projective(alg_c, v)
         restricted = restrict_to_base(lift_projective(alg_c, p, R), alg_c)
-        assert is_isomorphic(restricted, direct_sum(alg_c, [p, row]))
+        assert is_isomorphic(restricted, direct_sum(alg_c, [p, E.rows[vi]]))
 
 
 def test_extension_counts_multiplicities(alg_b):

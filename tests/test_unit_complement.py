@@ -27,6 +27,7 @@ from quiverkit.repmod import (
     projective_cover,
     radical_spans,
 )
+from test_bimodule_oracle import dense_actions
 
 FIELDS = [RationalField(), PrimeField(3), PrimeField(32003)]
 FINITE_FIXTURES = ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
@@ -124,7 +125,8 @@ def test_arrow_positions_equal_the_greedy_choice():
     seen = 0
     for e in _bimodules():
         a = e.algebra
-        images = [mat.column(j) for r in a.radical for mat in (e.left[r], e.right[r])
+        left, right = dense_actions(e)
+        images = [mat.column(j) for r in a.radical for mat in (left[r], right[r])
                   for j in range(mat.cols)]
         assert e.arrow_positions() == _greedy_complement(a.field, images, e.dim)
         seen += bool(e.dim)
