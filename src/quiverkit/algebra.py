@@ -19,6 +19,11 @@ only when its product is nonzero, so only pairs with target(b_i) =
 source(b_j) can appear.  Products are read through `BasedAlgebra.mul_vec`;
 only the JSON form spells the table out densely.
 
+The grading is indexed once, when the algebra is built: ``between[v][w]``
+lists the basis indices of e_v A e_w and ``leaving[v]`` those of e_v A,
+each in basis order.  Projectives, actions on modules, covers and
+annihilators read which basis elements span e_v A e_w from this table.
+
 Basis representatives of a built algebra are paths in degree-lexicographic
 order (length first, then arrow order from the presentation); a relation
 rewrites its deglex-largest path into smaller ones, so the deglex-smallest
@@ -76,6 +81,11 @@ class BasedAlgebra:
             raise BuildError("one idempotent per vertex required")
         if sorted(set(self.labels)) != sorted(self.labels):
             raise BuildError("duplicate basis labels")
+        self.leaving = [[] for _ in self.vertices]  # v -> basis of e_v A
+        self.between = [[[] for _ in self.vertices] for _ in self.vertices]  # of e_v A e_w
+        for k, (v, w) in enumerate(zip(self.source, self.target)):
+            self.leaving[v].append(k)
+            self.between[v][w].append(k)
 
     # -- small helpers ------------------------------------------------------
 
@@ -428,11 +438,7 @@ def gabriel_quiver(a: BasedAlgebra) -> Quiver:
 
 def cartan_matrix(a: BasedAlgebra):
     """Integer matrix counting basis elements from vertex i to vertex j."""
-    n = len(a.vertices)
-    m = np.zeros((n, n), dtype=np.int64)
-    for k in range(a.dim):
-        m[a.source[k], a.target[k]] += 1
-    return m
+    return np.array([[len(ks) for ks in row] for row in a.between], dtype=np.int64)
 
 
 def opposite_algebra(a: BasedAlgebra) -> BasedAlgebra:
@@ -584,8 +590,8 @@ def quotient_by_vertex(a: BasedAlgebra, x) -> BasedAlgebra:
     if len(a.vertices) == 1:
         raise BuildError("quotient by the only vertex is the zero algebra")
     xi = a.vertex_index(x)
-    products = [a.mul_vec(a.unit(i), a.unit(j)) for i in range(a.dim) if a.target[i] == xi
-                for j in range(a.dim) if a.source[j] == xi]
+    products = [a.mul_vec(a.unit(i), a.unit(j)) for row in a.between for i in row[xi]
+                for j in a.leaving[xi]]
     return quotient_algebra(a, Ideal(a, echelon(a.field, products, a.dim)[0]))
 
 
@@ -651,20 +657,13 @@ def radical_nilpotency_degree(a: BasedAlgebra):
 
 def check_gabriel_counts(a: BasedAlgebra) -> bool:
     """arrow_reps sizes agree with dim e_i (rad/rad^2) e_j per vertex pair."""
-    f = a.field
     sq = radical_square_vectors(a)
-    n = len(a.vertices)
-    for i in range(n):
-        for j in range(n):
-            t = SpanTracker(f)
-            for v in sq:
-                t.add(v)
-            base = t.dim
-            for k in a.radical:
-                if a.source[k] == i and a.target[k] == j:
-                    t.add(a.unit(k))
-            expected = t.dim - base
-            got = sum(1 for r in a.arrow_reps if r.source == i and r.target == j)
-            if expected != got:
+    rad = set(a.radical)
+    base = len(echelon(a.field, sq, a.dim)[0])
+    for i, row in enumerate(a.between):
+        for j, ks in enumerate(row):
+            units = [a.unit(k) for k in ks if k in rad]
+            expected = len(echelon(a.field, sq + units, a.dim)[0]) - base
+            if expected != sum(1 for r in a.arrow_reps if (r.source, r.target) == (i, j)):
                 return False
     return True

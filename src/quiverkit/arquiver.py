@@ -537,8 +537,7 @@ def tilted_quotient(a: BasedAlgebra, sigma_modules) -> TiltedQuotient:
     for m in sigma_modules:
         for v in range(len(a.vertices)):
             acts = right_action(m, v)
-            for w in range(len(a.vertices)):
-                ks = [k for k in acts if a.target[k] == w]
+            for w, ks in enumerate(a.between[v]):
                 for i in range(m.dims[w]):
                     for j in range(m.dims[v]):
                         row = [z] * a.dim
@@ -571,9 +570,9 @@ def restrict_along_quotient(m: Module, quot: BasedAlgebra, label=None) -> Module
     # sum_k x_k R_k = 0 at every pair of vertices, for x in a basis of the ideal
     for v, at_v in enumerate(acts):
         for x in quot.ideal.basis:
-            for w in range(len(a.vertices)):
-                if not lincomb(f, m.dims[w], m.dims[v], [
-                        (x[k], r) for k, r in at_v.items() if a.target[k] == w]).is_zero():
+            for w, ks in enumerate(a.between[v]):
+                if not lincomb(f, m.dims[w], m.dims[v],
+                               [(x[k], at_v[k]) for k in ks]).is_zero():
                     raise ModuleError("the quotient's ideal does not annihilate the module")
     dims = [m.dims[a.vertex_index(v)] for v in quot.vertices]
     mats = {}
@@ -687,15 +686,14 @@ class ExtensionReport:
 
 
 def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
-                          frag: ARFragment = None, node_cap: int = 80):
+                          frag: ARFragment, node_cap: int = 80):
     """Extend a cluster-tilted algebra along a module on a local slice.
 
     Pipeline: quotient by the annihilator of the local slice, one-point
-    extend the quotient by the module, take the relation extension.
-    Returns (extended algebra, report).
+    extend the quotient by the module, take the relation extension.  frag
+    is a knit of b holding the slice's modules; node_cap caps only the knit
+    of the extension B'.  Returns (extended algebra, report).
     """
-    if frag is None:
-        frag = knit(b, node_cap=node_cap)
     sigma_idx = []
     for mod in sigma_modules:
         i = frag.find(mod)

@@ -174,19 +174,19 @@ def value_matrix(psum, verts, vecs, n: Module) -> Matrix:
     values psi(vecs[i]), stacked, where vecs[i] is a vector of the projective
     sum psum at vertex verts[i].  Its (i, alpha) block is sum_k c_k R_k,
     where the c_k are `psum.parts`[i][alpha] and R_k is the right action of
-    the k-th basis element from v_alpha to w = verts[i], N at v_alpha -> N
-    at w, read from `right_action`."""
+    the k-th basis element of e_v A e_w, v = v_alpha and w = verts[i], N at
+    v -> N at w, read from `right_action`."""
     alg = n.algebra
     f = alg.field
-    right = {}  # (v, w) -> the R_k from v to w, in basis order
+    right = {}  # v -> w -> the R_k of the basis of e_v A e_w
     for v in set(psum.verts):
-        for k, r in right_action(n, v).items():
-            right.setdefault((v, alg.target[k]), []).append(r)
+        acts = right_action(n, v)
+        right[v] = [[acts[k] for k in ks] for ks in alg.between[v]]
     data = []
     for w, parts in zip(verts, psum.parts(verts, vecs)):
         blocks = []
         for v, coeffs in zip(psum.verts, parts):
-            blocks.append(lincomb(f, n.dims[w], n.dims[v], zip(coeffs, right.get((v, w), ()))))
+            blocks.append(lincomb(f, n.dims[w], n.dims[v], zip(coeffs, right[v][w])))
         data += [[x for b in blocks for x in b.data[i]] for i in range(n.dims[w])]
     return Matrix.wrap(f, data, len(data), sum(n.dims[v] for v in psum.verts))
 
@@ -288,9 +288,10 @@ def transpose(m: Module, res: Resolution = None) -> Module:
         return zero_module(op)
     p0, p1, d1 = res.terms[0], res.terms[1], res.diffs[0]
     # The alpha-th summand part of d1's beta-th generator image lies in
-    # e_va A e_vb = e_vb A^op e_va, whose basis, in the same order, is the
-    # beta-th summand of q1 at va.  Hom(d1, A) sends the alpha-th generator
-    # of q0 to these parts, side by side.
+    # e_va A e_vb = e_vb A^op e_va, and op.between[vb][va] ==
+    # a.between[va][vb]: the same basis, in the same order, is the beta-th
+    # summand of q1 at va.  Hom(d1, A) sends the alpha-th generator of q0
+    # to these parts, side by side.
     q0 = projective_sum(op, p0.verts)
     q1 = projective_sum(op, p1.verts)
     parts = p0.parts(p1.verts, p1.generator_images(d1))

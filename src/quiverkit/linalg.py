@@ -53,15 +53,22 @@ class LinalgError(Exception):
     pass
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on the first 13 primes, which is exact below
+    _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)); a larger n
+    is refused rather than guessed."""
+    if n >= _PRIME_BOUND:
+        raise LinalgError(f"cannot certify primality at or above {_PRIME_BOUND}")
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(x == 1 or n - 1 in (pow(x, 2 ** i, n) for i in range(s))
+               for x in (pow(b, d, n) for b in _PRIME_BASES))
 
 
 def _q(x):

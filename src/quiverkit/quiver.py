@@ -9,9 +9,11 @@ Presentation file format (UTF-8 text, ``#`` starts a comment)::
     relations: a*b + g*d, e*a, e*g, b*e, d*e
 
 ``*`` composes arrows left to right, so ``a*b`` means "a, then b" and
-needs target(a) = source(b).  A term may carry an integer coefficient,
-as in ``2*a*b`` or ``-a*b``; all terms of one relation must be parallel
-paths of length at least 2.  The relations line may be omitted.
+needs target(a) = source(b).  A term may carry an integer or fractional
+coefficient, as in ``2*a*b``, ``-a*b`` or ``1/2*a*b``; in GF(p) a fraction
+n/q is n times the inverse of q, and q = 0 in the field is an error.  All
+terms of one relation must be parallel paths of length at least 2.  The
+relations line may be omitted.
 
 Quivers are compared up to isomorphism (``canonical_form``,
 ``quiver_isomorphism`` and the visited set of the mutation-class search)
@@ -282,8 +284,12 @@ def _parse_relation(quiver, field, expr, line_no, col0):
             raise ParseError(f"bad term {text.strip()!r}", line_no, col)
         coeff = field.from_int(sign)
         start = 0
-        if re.fullmatch(r"\d+", factors[0]):
-            coeff = field.mul(coeff, field.from_int(int(factors[0])))
+        number = re.fullmatch(r"(\d+)(?:/(\d+))?", factors[0])
+        if number:
+            q = field.from_int(int(number[2] or 1))
+            if q == field.zero():
+                raise ParseError(f"{factors[0]} divides by zero in {field.name()}", line_no, col)
+            coeff = field.mul(coeff, field.mul(field.from_int(int(number[1])), field.inv(q)))
             start = 1
         names = factors[start:]
         if not names:

@@ -8,6 +8,9 @@ algebra over the algebra's field.  Basis elements act through arrow words:
 `right_multiples` pushes one vector, and `right_action` gives the matrix of
 each basis element's action, the one table that validation, restriction,
 annihilators, Hom(d, N) in `homology.hom_matrix` and the extensions read.
+Which basis elements span e_v A e_w, and in what order, is read from the
+algebra's index (`BasedAlgebra.between` and `leaving`): P(v) at w has the
+basis between[v][w], and the actions out of v run over leaving[v].
 
 Submodules and quotients take the reduced echelon basis of each span: a
 vector of the span has its coordinates at the pivot columns, and a
@@ -219,16 +222,6 @@ def simple(a: BasedAlgebra, v) -> Module:
     return Module(a, dims, {}, label=f"S({v})")
 
 
-def projective_basis_indices(a: BasedAlgebra, v):
-    """Basis indices of e_v * A grouped per target vertex (in basis order)."""
-    vi = a.vertex_index(v)
-    per_vertex = [[] for _ in a.vertices]
-    for k in range(a.dim):
-        if a.source[k] == vi:
-            per_vertex[a.target[k]].append(k)
-    return per_vertex
-
-
 def projective(a: BasedAlgebra, v) -> Module:
     """P(v) = e_v A with action by right multiplication.
 
@@ -243,7 +236,7 @@ def projective(a: BasedAlgebra, v) -> Module:
 
 def _build_projective(a: BasedAlgebra, v) -> Module:
     f = a.field
-    per_vertex = projective_basis_indices(a, v)
+    per_vertex = a.between[a.vertex_index(v)]
     dims = [len(lst) for lst in per_vertex]
     mats = {}
     for rep in a.arrow_reps:
@@ -504,14 +497,8 @@ class ProjectiveSum:
 
     def summand_offsets(self, w):
         """(offset, dimension) of each summand's space at vertex w."""
-        a = self.algebra
-        per = []
-        acc = 0
-        for v in self.verts:
-            d = projective(a, a.vertices[v]).dims[w]
-            per.append((acc, d))
-            acc += d
-        return per
+        dims = [len(self.algebra.between[v][w]) for v in self.verts]
+        return list(zip(accumulate([0] + dims), dims))
 
     def generator_images(self, fmap):
         """The images under fmap (a map out of this sum) of the summands'
@@ -522,15 +509,11 @@ class ProjectiveSum:
         concatenated they are its coordinates.
         """
         a = self.algebra
-        generator_cols = {}  # vertex -> (summand offsets, generator position)
+        cols = {}  # v -> the column of each summand's generator at v
         for v in set(self.verts):
-            at_v = projective_basis_indices(a, a.vertices[v])[v]
-            generator_cols[v] = (self.summand_offsets(v), at_v.index(a.idempotents[v]))
-        out = []
-        for c, v in enumerate(self.verts):
-            offsets, pos = generator_cols[v]
-            out.append(fmap.blocks[v].column(offsets[c][0] + pos))
-        return out
+            pos = a.between[v][v].index(a.idempotents[v])  # e_v in e_v A e_v
+            cols[v] = [off + pos for off, _ in self.summand_offsets(v)]
+        return [fmap.blocks[v].column(cols[v][c]) for c, v in enumerate(self.verts)]
 
     def parts(self, verts, vecs):
         """parts[i][alpha]: the alpha-th summand part of vecs[i], a vector of
@@ -586,9 +569,7 @@ def right_multiples(m: Module, v, vec):
     exprs = a.basis_expressions()
     images = {(): list(vec)}  # arrow word -> image of vec
     out = {}
-    for k in range(a.dim):
-        if a.source[k] != v:
-            continue
+    for k in a.leaving[v]:
         acc = [z] * m.dims[a.target[k]]
         for coeff, _, word in exprs[k]:
             if word not in images:
@@ -614,7 +595,7 @@ def right_action(m: Module, v):
     f = a.field
     cols = [right_multiples(m, v, unit) for unit in Matrix.identity(f, m.dims[v]).data]
     return {k: Matrix.from_columns(f, [c[k] for c in cols], m.dims[a.target[k]])
-            for k in range(a.dim) if a.source[k] == v}
+            for k in a.leaving[v]}
 
 
 def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:

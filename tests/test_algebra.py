@@ -22,6 +22,7 @@ from quiverkit.extensions import (
     one_point_extension,
     relation_extension,
 )
+from quiverkit.homology import global_dim
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import direct_sum, projective, simple
 from test_repmod import _fixture_over
@@ -193,6 +194,22 @@ def _assert_sparse_graded_table(a):
         [[f.scalar_to_str(c) for c in prod] for prod in row] for row in dense]
 
 
+def _assert_graded_index(a):
+    """between and leaving equal a scan of the basis; the opposite's index
+    is the transpose (what `transpose` reads), and between[v][w] spans
+    P(v) at w and counts the Cartan entry."""
+    n = len(a.vertices)
+    assert a.between == [[[k for k in range(a.dim) if (a.source[k], a.target[k]) == (v, w)]
+                          for w in range(n)] for v in range(n)]
+    assert a.leaving == [[k for k in range(a.dim) if a.source[k] == v] for v in range(n)]
+    op, cartan = a.opposite(), cartan_matrix(a)
+    for v in range(n):
+        dims = projective(a, a.vertices[v]).dims
+        for w in range(n):
+            assert op.between[w][v] == a.between[v][w]
+            assert len(a.between[v][w]) == dims[w] == cartan[v, w]
+
+
 def test_structure_constants_are_sparse_and_graded(alg_c):
     algebras = []
     for field in ("rational", "gf(3)"):
@@ -201,11 +218,19 @@ def test_structure_constants_are_sparse_and_graded(alg_c):
             s = simple(a, a.vertices[0])
             algebras += [a, quotient_by_vertex(a, a.vertices[-1]), a.opposite(),
                          one_point_extension(a, s), one_point_coextension(a, s)]
+            algebras += [one_point_extension(a, projective(a, v)) for v in a.vertices]
     p = direct_sum(alg_c, [projective(alg_c, v) for v in "123"])
     algebras += [relation_extension(alg_c),
                  relation_extension(one_point_extension(alg_c, p))]
+    algebras += [relation_extension(a) for a in algebras[:] if _gldim_at_most_2(a)]
     for a in algebras:
         _assert_sparse_graded_table(a)
+        _assert_graded_index(a)
+
+
+def _gldim_at_most_2(a):
+    d = global_dim(a, 3)
+    return d is not None and d <= 2
 
 
 def test_opposite_involution(alg_b):

@@ -1,13 +1,16 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from sympy import isprime
 
 from quiverkit.linalg import (
     LinalgError,
     Matrix,
     PrimeField,
     RationalField,
+    _is_prime,
     field_from_name,
     kernel_basis,
     matmul,
@@ -17,6 +20,18 @@ from quiverkit.linalg import (
 
 Q = RationalField()
 GF7 = PrimeField(7)
+
+
+def test_primality_matches_sympy():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    for n in [*range(10 ** 4), 3215031751, 3825123056546413051, *carmichael,
+              10 ** 14 + 31, 2 ** 61 - 1, 2 ** 61 + 1]:
+        assert _is_prime(n) == isprime(n), n
+    start = time.process_time()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.process_time() - start < 1
+    with pytest.raises(LinalgError, match="3317044064679887385961981"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_field_parsing():

@@ -93,6 +93,28 @@ def test_roundtrip_fixtures():
         assert parse_presentation(serialize_presentation(pres)) == pres
 
 
+def test_fractional_coefficients_round_trip():
+    square = {"field": {"kind": "rational"}, "vertices": ["1", "2", "3", "4"],
+              "arrows": [{"name": n, "source": s, "target": t} for n, s, t in
+                         [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]]}
+    for coeff in ("1/2", "-3/4"):
+        pres = presentation_from_json({**square, "relations": [
+            [{"coeff": coeff, "path": ["a", "b"]}, {"coeff": "1", "path": ["c", "d"]}]]})
+        text = serialize_presentation(pres)
+        assert f"{coeff.lstrip('-')}*a*b" in text
+        assert parse_presentation(text) == pres
+
+
+def test_fractional_coefficient_in_a_prime_field():
+    text = ("field: gf(7)\nvertices: 1 2 3\narrows: a: 1 -> 2, b: 2 -> 3\n"
+            "relations: {}\n")
+    (coeff, _), = parse_presentation(text.format("2/3*a*b")).relations[0].terms
+    assert coeff == 3  # 2 * 3^-1 = 2 * 5 in GF(7)
+    with pytest.raises(ParseError, match="1/7 divides by zero in gf\\(7\\)") as exc:
+        parse_presentation(text.format("1/7*a*b"))
+    assert (exc.value.line, exc.value.col) == (4, 12)
+
+
 def test_json_roundtrip():
     pres = load_fixture("d4_clustertilted.q")
     data = json.loads(json.dumps(presentation_to_json(pres)))

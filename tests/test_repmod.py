@@ -327,7 +327,6 @@ def _fixture_over(name, field):
 def _reference_cover_blocks(psum, target, epi):
     """The blocks of the map out of psum agreeing with epi on the summands'
     generators, built from the total-space action matrices of target."""
-    from quiverkit.repmod import projective_basis_indices
     a = psum.algebra
     f = a.field
     actions = target.basis_action()
@@ -335,7 +334,7 @@ def _reference_cover_blocks(psum, target, epi):
     blocks = [[[f.zero()] * psum.module.dims[w] for _ in range(target.dims[w])]
               for w in range(len(a.vertices))]
     for c, v in enumerate(psum.verts):
-        per_vertex = projective_basis_indices(a, a.vertices[v])
+        per_vertex = a.between[v]
         gen_col = psum.summand_offsets(v)[c][0] + per_vertex[v].index(a.idempotents[v])
         gvec = [f.zero()] * target.total_dim
         gvec[toff[v]:toff[v] + target.dims[v]] = epi.blocks[v].column(gen_col)
