@@ -178,14 +178,14 @@ def value_matrix(psum, verts, vecs, n: Module) -> Matrix:
     v -> N at w, read from `right_action`."""
     alg = n.algebra
     f = alg.field
-    right = {}  # v -> w -> the R_k of the basis of e_v A e_w
-    for v in set(psum.verts):
-        acts = right_action(n, v)
-        right[v] = [[acts[k] for k in ks] for ks in alg.between[v]]
+    right = {}  # v -> w -> the R_k of the basis of e_v A e_w, built when first read
     data = []
     for w, parts in zip(verts, psum.parts(verts, vecs)):
         blocks = []
         for v, coeffs in zip(psum.verts, parts):
+            if v not in right:
+                acts = right_action(n, v)
+                right[v] = [[acts[k] for k in ks] for ks in alg.between[v]]
             blocks.append(lincomb(f, n.dims[w], n.dims[v], zip(coeffs, right[v][w])))
         data += [[x for b in blocks for x in b.data[i]] for i in range(n.dims[w])]
     return Matrix.wrap(f, data, len(data), sum(n.dims[v] for v in psum.verts))

@@ -26,10 +26,18 @@ step on it.
 
 A block is built once, from its rows (`Matrix.wrap`) or from its columns
 (`Matrix.from_columns`), not by writing entries one at a time into a
-zero-filled matrix.  `Matrix.zeros` is for a block whose value is zero, or
-that seeds an accumulation such as `matmul` or `lincomb`.  Only the dense
-reference action that the tests check modules against,
-`Module.basis_action`, still fills its matrices entry by entry.
+zero-filled matrix.  `matmul` builds each output row as it goes, one row of
+a times b.  `Matrix.zeros` is for a block whose value is zero, or that
+seeds the accumulation of `lincomb`.  Only the dense reference action that
+the tests check modules against, `Module.basis_action`, still fills its
+matrices entry by entry.
+
+`residue(f, rows, pivots, vec)` is the one reduction of a vector against a
+reduced echelon basis: vec - sum_r vec[p_r] rows_r, which is zero exactly
+when vec lies in the span.  Each row is 1 at its own pivot and 0 at the
+others, so the residue is also zero at every pivot, and its entries at the
+other columns are the coordinates of vec's class in the quotient by the
+span.  `SpanTracker.reduce` is a call to it.
 
 Maps act on column vectors: `solve(m, b)` finds x with m @ x = b, and the
 composite "first f, then g" has matrix g @ f.  `lincomb` sums scaled
@@ -280,16 +288,18 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise LinalgError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     f = a.field
-    out = Matrix.zeros(f, a.rows, b.cols)
     if not (a.rows and a.cols and b.cols):
-        return out
+        return Matrix.zeros(f, a.rows, b.cols)
     bsupp = [_support(row) for row in b.data]
-    for arow, orow in zip(a.data, out.data):
+    data = []
+    for arow in a.data:
+        orow = [f.zero()] * b.cols
         for x, supp in zip(arow, bsupp):
             if x:
                 for j, y in supp:
                     orow[j] = f.add(orow[j], f.mul(x, y))
-    return out
+        data.append(orow)
+    return Matrix.wrap(f, data, a.rows, b.cols)
 
 
 def lincomb(f, rows, cols, terms):
@@ -432,6 +442,19 @@ def solve(m: Matrix, b: list):
     return None if sol is None else sol[0]
 
 
+def residue(f, rows, pivots, vec):
+    """vec - sum_r vec[p_r] * rows_r, for a reduced echelon basis `rows` with
+    pivot columns `pivots`: zero exactly when vec lies in span(rows)."""
+    v = list(vec)
+    # each row is zero in every other row's pivot column, so v[p_r] is still
+    # vec[p_r] when row r is reached, whatever the order of the steps
+    for row, p in zip(rows, pivots):
+        x = v[p]
+        if x:
+            _subtract(f, v, x, _support(row))
+    return v
+
+
 def unit_complement(f, vecs, n):
     """The positions, earliest first, whose unit vectors complete span(vecs)
     to k^n: those left free by an rref of vecs with the columns reversed."""
@@ -451,19 +474,11 @@ class SpanTracker:
 
     def __init__(self, field):
         self.field = field
-        self.rows = []  # kept in echelon form, pivot map: col -> row index
-        self.pivot_of_col = {}
+        self.rows = []  # kept in reduced echelon form
+        self.pivots = []  # the pivot column of each row
 
     def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        # each row is zero in every other row's pivot column, so the order
-        # of the steps does not matter
-        for c, ri in self.pivot_of_col.items():
-            x = v[c]
-            if x:
-                _subtract(f, v, x, _support(self.rows[ri]))
-        return v
+        return residue(self.field, self.rows, self.pivots, vec)
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -483,7 +498,7 @@ class SpanTracker:
                 row = list(row)
                 _subtract(f, row, x, support)
                 self.rows[ri] = row
-        self.pivot_of_col[pivot] = len(self.rows)
+        self.pivots.append(pivot)
         self.rows.append(v)
         return True
 

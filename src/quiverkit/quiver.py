@@ -277,21 +277,16 @@ def _parse_relation(quiver, field, expr, line_no, col0):
         raise ParseError("empty relation", line_no, col0)
 
     parsed_terms = []
-    totals = {}  # path -> (summed coefficient, column of its first term)
+    cols = {}  # path -> the column of its first term
     for sign, text, col in pieces:
         factors = [f.strip() for f in text.split("*")]
         if any(not f for f in factors):
             raise ParseError(f"bad term {text.strip()!r}", line_no, col)
         coeff = field.from_int(sign)
-        start = 0
-        number = re.fullmatch(r"(\d+)(?:/(\d+))?", factors[0])
-        if number:
-            q = field.from_int(int(number[2] or 1))
-            if q == field.zero():
-                raise ParseError(f"{factors[0]} divides by zero in {field.name()}", line_no, col)
-            coeff = field.mul(coeff, field.mul(field.from_int(int(number[1])), field.inv(q)))
-            start = 1
-        names = factors[start:]
+        number = _coefficient(field, factors[0], line_no, col)
+        if number is not None:
+            coeff = field.mul(coeff, number)
+        names = factors if number is None else factors[1:]
         if not names:
             raise ParseError("relation term with no arrows", line_no, col)
         prev = None
@@ -311,15 +306,8 @@ def _parse_relation(quiver, field, expr, line_no, col0):
             raise ParseError("relation path of length < 2", line_no, col)
         path = tuple(names)
         parsed_terms.append((coeff, path))
-        total, first_col = totals.get(path, (field.zero(), col))
-        totals[path] = (field.add(total, coeff), first_col)
-
-    # a path whose coefficients sum to 0 in the field would silently drop
-    # out of the relation (say 3*a*b over gf(3)), unlike over the rationals
-    for names, (total, col) in totals.items():
-        if total == field.zero():
-            raise ParseError(
-                f"coefficient of {'*'.join(names)} is zero in {field.name()}", line_no, col)
+        cols.setdefault(path, col)
+    _check_totals(field, parsed_terms, line_no, cols)
 
     first = Path(quiver, arrows=parsed_terms[0][1])
     for _, names in parsed_terms[1:]:
@@ -327,6 +315,32 @@ def _parse_relation(quiver, field, expr, line_no, col0):
         if (p.source, p.target) != (first.source, first.target):
             raise ParseError("non-parallel summands in a relation", line_no, col0)
     return RelationElement(quiver, tuple(parsed_terms))
+
+
+def _coefficient(field, text, line=None, col=None):
+    """The scalar that text spells as a coefficient, or None when it spells
+    none: n, or n/q for n times the inverse of q, after an optional minus
+    sign.  A q that is 0 in the field is a ParseError."""
+    number = re.fullmatch(r"(-?)(\d+)(?:/(\d+))?", text)
+    if number:
+        q = field.from_int(int(number[3] or 1))
+        if q == field.zero():
+            raise ParseError(f"{text} divides by zero in {field.name()}", line, col)
+        c = field.mul(field.from_int(int(number[2])), field.inv(q))
+        return field.neg(c) if number[1] else c
+
+
+def _check_totals(field, terms, line=None, cols=None):
+    """Raise unless each path's coefficients in terms sum to a nonzero
+    scalar: a path whose sum is 0 in the field would silently drop out of
+    the relation (say 3*a*b over gf(3)), unlike over the rationals."""
+    totals = {}
+    for coeff, names in terms:
+        totals[names] = field.add(totals.get(names, field.zero()), coeff)
+    for names, total in totals.items():
+        if total == field.zero():
+            raise ParseError(f"coefficient of {'*'.join(names)} is zero in {field.name()}",
+                             line, cols and cols[names])
 
 
 def serialize_presentation(pres: Presentation) -> str:
@@ -375,7 +389,10 @@ def presentation_to_json(pres: Presentation) -> dict:
 def presentation_from_json(data: dict) -> Presentation:
     """The presentation that `presentation_to_json` writes.  A field kind
     other than its two, a top-level or arrow key that it does not write, a
-    missing key and a bad coefficient are each a one-line ParseError."""
+    missing key and a bad coefficient are each a one-line ParseError.  A
+    coefficient is read by the text format's rule, so a fraction, a zero
+    denominator and a path whose coefficients sum to 0 read as they do in
+    `parse_presentation`."""
     if not (isinstance(data, dict)
             and data.keys() == {"field", "vertices", "arrows", "relations"}):
         raise ParseError('a presentation is an object of "field", "vertices", '
@@ -392,16 +409,19 @@ def presentation_from_json(data: dict) -> Presentation:
             tuple(data["vertices"]),
             tuple(Arrow(**a) for a in data["arrows"]),
         )
-        relations = tuple(
-            RelationElement(
-                quiver,
-                tuple((field.scalar_from_str(t["coeff"]), tuple(t["path"])) for t in rel),
-            )
-            for rel in data["relations"]
-        )
+        relations = []
+        for rel in data["relations"]:
+            terms = []
+            for t in rel:
+                coeff = _coefficient(field, t["coeff"])
+                if coeff is None:
+                    raise ParseError(f"bad coefficient {t['coeff']!r}: not n or n/q")
+                terms.append((coeff, tuple(t["path"])))
+            _check_totals(field, terms)
+            relations.append(RelationElement(quiver, tuple(terms)))
     except (KeyError, TypeError, ValueError, ZeroDivisionError, LinalgError) as exc:
         raise ParseError(f"bad presentation: {type(exc).__name__} {exc}") from None
-    return Presentation(quiver, relations, field)
+    return Presentation(quiver, tuple(relations), field)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ basis between[v][w], and the actions out of v run over leaving[v].
 Submodules and quotients take the reduced echelon basis of each span: a
 vector of the span has its coordinates at the pivot columns, and a
 quotient's basis is the classes of the unit vectors at the free columns.
+Both read each arrow block straight from rows, with no inclusion,
+projection or product matrix: a submodule's block has as columns the
+arrow's images of the source's echelon rows, read at the target's pivots,
+and an image with a nonzero `residue` against the target's rows leaves
+the span; a quotient's block has as columns the residues of the arrow
+matrix's columns at the source's free positions, read at the target's.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from quiverkit.linalg import (
     kernel_basis,
     lincomb,
     matmul,
+    residue,
     rref,
     unit_complement,
 )
@@ -308,7 +315,7 @@ def hom_basis(m: Module, n: Module):
     z = f.zero()
     for rep in a.arrow_reps:
         i, j = rep.source, rep.target
-        A = m.mats[rep.name]   # m.dims[j] x m.dims[i]
+        A = m.mats[rep.name].transpose().data   # the columns of M's arrow block
         B = n.mats[rep.name]
         di, dj = m.dims[i], m.dims[j]
         ei = n.dims[i]
@@ -316,7 +323,7 @@ def hom_basis(m: Module, n: Module):
             for c in range(di):
                 row = [z] * offs[-1]
                 # + (F_j A)[r, c]: row r of F_j times column c of A
-                row[offs[j] + r * dj: offs[j] + r * dj + dj] = A.column(c)
+                row[offs[j] + r * dj: offs[j] + r * dj + dj] = A[c]
                 # - (B F_i)[r, c]
                 for t in range(ei):
                     if B.data[r][t]:
@@ -349,53 +356,53 @@ def submodule_from_spans(m: Module, spans, label="U"):
 
     spans[v] is a list of coordinate vectors in M_v whose span must be
     closed under all arrow actions.  The basis at v is the span's reduced
-    echelon basis, so an arrow's block is its image read at the pivot
-    columns of the target.
+    echelon basis, so an arrow's block has as columns the arrow's images of
+    the source's rows, read at the pivot columns of the target; an image
+    with a nonzero `residue` there leaves the span.
     """
     a = m.algebra
     f = a.field
     echelons = [echelon(f, spans[v], d) for v, d in enumerate(m.dims)]
     dims = [len(rows) for rows, _ in echelons]
-    incl_blocks = [Matrix.from_columns(f, rows, d) for (rows, _), d in zip(echelons, m.dims)]
     mats = {}
     for rep in a.arrow_reps:
-        src, tgt = rep.source, rep.target
-        img = matmul(m.mats[rep.name], incl_blocks[src])
-        pivots = echelons[tgt][1]
-        block = Matrix.wrap(f, [img.data[p] for p in pivots], dims[tgt], dims[src])
-        if img.cols and matmul(incl_blocks[tgt], block) != img:
-            raise ModuleError("spans not closed under the arrow actions")
-        mats[rep.name] = block
+        rows, pivots = echelons[rep.target]
+        cols = []
+        for img in map(m.mats[rep.name].apply, echelons[rep.source][0]):
+            if any(residue(f, rows, pivots, img)):
+                raise ModuleError("spans not closed under the arrow actions")
+            cols.append([img[p] for p in pivots])
+        mats[rep.name] = Matrix.from_columns(f, cols, dims[rep.target])
     sub = Module(a, dims, mats, label=label)
-    return sub, ModuleMap(sub, m, incl_blocks)
+    return sub, ModuleMap(sub, m, [Matrix.from_columns(f, rows, d)
+                                   for (rows, _), d in zip(echelons, m.dims)])
 
 
 def quotient_module(m: Module, spans, label="Q"):
     """Quotient of M by the submodule spanned per-vertex by spans.
 
     With rows r and pivots p of the span's echelon basis at v, the class of
-    u is the free (non-pivot) entries of u - sum u[p_r] r; the quotient's
-    basis is the classes of the unit vectors at the free positions.
+    u is the free (non-pivot) entries of its `residue` u - sum u[p_r] r; the
+    quotient's basis is the classes of the unit vectors at the free
+    positions.  So an arrow's block has as columns the residues of the arrow
+    matrix's columns at the source's free positions, read at the target's.
     """
     a = m.algebra
     f = a.field
-    z = f.zero()
-    free, proj_blocks = [], []
-    for v, d in enumerate(m.dims):
-        rows, pivots = echelon(f, spans[v], d)
-        row_at = dict(zip(pivots, rows))
-        free.append([c for c in range(d) if c not in row_at])
-        # column c is the class of the unit vector at c
-        proj_blocks.append(Matrix.wrap(f, [
-            [f.neg(row_at[c][fc]) if c in row_at else f.one() if c == fc else z
-             for c in range(d)] for fc in free[v]], len(free[v]), d))
+    echelons = [echelon(f, spans[v], d) for v, d in enumerate(m.dims)]
+    free = []
+    for (_, pivots), d in zip(echelons, m.dims):
+        taken = set(pivots)
+        free.append([c for c in range(d) if c not in taken])
     mats = {}
     for rep in a.arrow_reps:
-        src, tgt = rep.source, rep.target
+        rows, pivots = echelons[rep.target]
         A = m.mats[rep.name]
-        section = Matrix.wrap(f, [[row[c] for c in free[src]] for row in A.data],
-                              A.rows, len(free[src]))
-        mats[rep.name] = matmul(proj_blocks[tgt], section)
+        cols = []
+        for c in free[rep.source]:
+            res = residue(f, rows, pivots, A.column(c))
+            cols.append([res[k] for k in free[rep.target]])
+        mats[rep.name] = Matrix.from_columns(f, cols, len(free[rep.target]))
     return Module(a, [len(fr) for fr in free], mats, label=label)
 
 

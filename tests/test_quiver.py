@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,34 @@ def test_fractional_coefficient_in_a_prime_field():
     assert (exc.value.line, exc.value.col) == (4, 12)
 
 
+@pytest.mark.parametrize("field", [{"kind": "rational"}, {"kind": "gf", "p": 7}])
+def test_json_coefficients_read_as_in_the_text_format(field):
+    # JSON -> text -> parse: a JSON coefficient is what the text reader reads
+    square = {"field": field, "vertices": ["1", "2", "3", "4"],
+              "arrows": [{"name": n, "source": s, "target": t} for n, s, t in
+                         [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]]}
+
+    def relation(c):
+        return {**square, "relations": [[{"coeff": c, "path": ["a", "b"]},
+                                         {"coeff": "1", "path": ["c", "d"]}]]}
+
+    pres = presentation_from_json(relation("1/2"))
+    text = serialize_presentation(pres)
+    assert parse_presentation(text) == pres
+    (half, _), (one, _) = pres.relations[0].terms
+    assert (half, one) == ((Fraction(1, 2), 1) if field["kind"] == "rational" else (4, 1))
+    # the same coefficient written as text reads the same
+    assert parse_presentation(text.split("relations: ")[0]
+                              + "relations: 1/2*a*b + c*d\n") == pres
+    name = "rational" if field["kind"] == "rational" else "gf\\(7\\)"
+    with pytest.raises(ParseError, match=f"coefficient of a\\*b is zero in {name}$"):
+        presentation_from_json(relation("0"))
+    with pytest.raises(ParseError, match=f"coefficient of a\\*b is zero in {name}$"):
+        presentation_from_json({**relation("1"), "relations": [[
+            {"coeff": "1/2", "path": ["a", "b"]}, {"coeff": "-1/2", "path": ["a", "b"]},
+            {"coeff": "1", "path": ["c", "d"]}]]})
+
+
 def test_json_roundtrip():
     pres = load_fixture("d4_clustertilted.q")
     data = json.loads(json.dumps(presentation_to_json(pres)))
@@ -139,7 +168,9 @@ _BAD_JSON = {
     "arrow with an unknown key": lambda d: d["arrows"][0].__setitem__("colour", "red"),
     "term without a path": lambda d: d["relations"][0][0].pop("path"),
     "letters as a coefficient": lambda d: d["relations"][0][0].__setitem__("coeff", "x"),
-    "a fraction over GF(p)": lambda d: d["relations"][0][0].__setitem__("coeff", "1/2"),
+    "a denominator divisible by p":
+        lambda d: d["relations"][0][0].__setitem__("coeff", "1/32003"),
+    "a zero coefficient": lambda d: d["relations"][0][0].__setitem__("coeff", "0"),
     "a list as a coefficient": lambda d: d["relations"][0][0].__setitem__("coeff", [1]),
     "not an object": lambda d: d.clear(),
 }
