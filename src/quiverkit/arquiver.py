@@ -69,8 +69,10 @@ class ARFragment:
     arrows[(i, j)] is the multiplicity, at least 1, of node i in rad P when
     node j is P, of node j in I/soc when node i is I, and otherwise of node i
     in the middle of the almost split sequence ending at node j; a capped
-    fragment carries fewer arrows, never guessed ones.  tau_links[i] is the
-    index of the translate of node i (absent for projectives).
+    fragment carries fewer arrows, never guessed ones.  knit lists the
+    arrows in (i, j) order, and the checkers report witnesses in that order.
+    tau_links[i] is the index of the translate of node i (absent for
+    projectives).
     incomplete_reason is None when the knit drained every queue under its
     caps, else the cap that tripped: "node_cap", or "dim_cap" with the
     module's dimension.
@@ -217,6 +219,29 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
     as that node object, so finding its node solves no Hom against the node
     itself.
 
+    Build order.  When the queue drains, every sequence
+    0 -> tau Y -> E -> Y -> 0 that is ready is built first: Y is
+    non-projective, and the known arrows out of tau Y have targets whose
+    dimension vectors, by multiplicity, sum to dim Y + dim tau Y.  Its
+    middle term is exactly those targets, so no E is built and nothing is
+    decomposed.  Only when no sequence is ready is the lowest-index
+    remaining one built from E: `almost_split_middle`, then
+    `decompose(E, nodes)`, then the balance check.  This is classical
+    knitting (Auslander, Reiten and Smalo, Representation Theory of Artin
+    Algebras, V.5 and VII.1; Bongartz and Gabriel, Invent. Math. 65 (1982)).
+
+    It is exact because every node the knit certifies has End/rad = k: a
+    seed P(v), I(v) or S(v), a brick, a module with simple top, a trace-form
+    line, a known node, or a translate of one of these.  So valuations are
+    symmetric: the multiplicity of X in E is the multiplicity of tau Y at
+    X's minimal right almost split map, recorded as the arrow tau Y -> X,
+    and an arrow not yet recorded would add a nonzero dimension vector.  A
+    ready sequence adds no node, so the nodes come in the order of building
+    every sequence from E in index order.  The knits of k[x]/(x^4) over
+    GF(2) and of cyclic Nakayama (2,6) over GF(3) close this way: each
+    sequence whose class needs rad End(tau Y), which the trace form cannot
+    find there, is ready.
+
     Cap exhaustion (too many nodes, or a module larger than dim_cap, the
     signature of a representation-infinite component) is reported through
     incomplete_reason, never an error.
@@ -256,10 +281,27 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
                     queue.append(idx)
 
     arrows = {}
+    out_arrows = {}  # node -> [(target, multiplicity)] of its known arrows
+    out_dims = {}    # node -> their targets' dims summed by multiplicity
     tau_of = {}
     resolutions = {}  # node -> its resolution, held until its sequence is built
     processed = set()
-    sequenced = 0  # the nodes below this index have their sequences built
+    waiting = {}  # non-projective node, sequence not built -> dim Y + dim tau Y
+    listed = 0    # the nodes below this index are projective or were waiting
+
+    def add_arrow(x, y, mult):
+        if (x, y) in arrows:
+            # an arrow found from both ends must have one multiplicity
+            if arrows[x, y] != mult:
+                labels = _node_labels(nodes)
+                raise ARQuiverError(f"the arrow {labels[x]} -> {labels[y]} "
+                                    "has two multiplicities")
+            return
+        arrows[x, y] = mult
+        out_arrows.setdefault(x, []).append((y, mult))
+        out_dims[x] = tuple(s + mult * d for s, d in
+                            zip(out_dims.get(x, (0,) * nv), nodes[y].dims))
+
     while reason is None:
         if queue:
             # breadth first: rad P, I/soc, tau and tau^-1 of every node; a
@@ -280,19 +322,33 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             if i not in injective_at and i not in tau_of.values():
                 found.append(("tauinv", tau_inv(m), 1))
         else:
-            # the queue drained: the almost split sequence ending at the
-            # next non-projective node gives the arrows into it
-            while sequenced < len(nodes) and sequenced in projective_at:
-                sequenced += 1
-            if sequenced == len(nodes):
+            # the queue drained, so every node has its translates
+            for j in range(listed, len(nodes)):
+                if j not in projective_at:
+                    waiting[j] = tuple(p + q for p, q in zip(nodes[j].dims,
+                                                             nodes[tau_of[j]].dims))
+            listed = len(nodes)
+            if not waiting:
                 break
-            i, sequenced = sequenced, sequenced + 1
+            # the ready sequences, built from the known arrows out of tau Y
+            ready = False
+            for y, need in list(waiting.items()):
+                if out_dims.get(tau_of[y]) == need:
+                    del waiting[y]
+                    resolutions.pop(y, None)
+                    for x, mult in out_arrows[tau_of[y]]:
+                        add_arrow(x, y, mult)
+                    ready = True
+            if ready:
+                continue
+            # none is ready: build the lowest-index one from its middle term
+            i = next(iter(waiting))
+            need = waiting.pop(i)
             y, ty = nodes[i], nodes[tau_of[i]]
             res = resolutions.pop(i, None) or start_resolution(y)
             middle = almost_split_middle(y, ty, res)
             found = [("in", s, mult) for s, mult in decompose(middle, nodes)]
-            if [sum(mult * s.dims[v] for _, s, mult in found) for v in range(nv)] != [
-                    y.dims[v] + ty.dims[v] for v in range(nv)]:
+            if tuple(sum(mult * s.dims[v] for _, s, mult in found) for v in range(nv)) != need:
                 raise ARQuiverError("the almost split sequence ending at "
                                     f"{_node_labels(nodes)[i]} does not balance")
         for kind, mod, mult in found:
@@ -301,13 +357,10 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
                 break
             if idx is None:
                 continue
-            if kind in ("in", "out"):
-                # an arrow found from both ends must have one multiplicity
-                key = (idx, i) if kind == "in" else (i, idx)
-                if arrows.setdefault(key, mult) != mult:
-                    labels = _node_labels(nodes)
-                    raise ARQuiverError(f"the arrow {labels[key[0]]} -> {labels[key[1]]} "
-                                        "has two multiplicities")
+            if kind == "in":
+                add_arrow(idx, i, mult)
+            elif kind == "out":
+                add_arrow(i, idx, mult)
             elif kind == "tau":
                 tau_of[i] = idx
             else:
@@ -315,7 +368,7 @@ def knit(a: BasedAlgebra, node_cap: int = 60, dim_cap: int = 120) -> ARFragment:
             if idx not in processed:
                 queue.append(idx)
 
-    return ARFragment(a, nodes, arrows, tau_of,
+    return ARFragment(a, nodes, dict(sorted(arrows.items())), tau_of,
                       projective_at, injective_at, reason)
 
 

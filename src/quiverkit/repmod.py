@@ -40,6 +40,7 @@ from quiverkit.linalg import (
     rref,
     unit_complement,
 )
+from quiverkit.quiver import ParseError, _coefficient
 
 
 class ModuleError(Exception):
@@ -698,9 +699,14 @@ def end_radical_basis(ends):
 def find_isomorphic(mods, m: Module) -> int:
     """The index of the first of mods isomorphic to the indecomposable m, or
     -1: any basis of Hom between isomorphic indecomposables contains an
-    isomorphism.  m itself is found without a Hom solve."""
+    isomorphism.  m itself, and a module with m's matrices (the same
+    representation, equal `key()`), are found without a Hom solve."""
     for i, x in enumerate(mods):
-        if x is m or x.dims == m.dims and any(h.is_invertible() for h in hom_basis(x, m)):
+        # the matrices are compared in place: key() would keep a copy of
+        # every candidate's matrices
+        if x is m or x.dims == m.dims and (
+                all(x.mats[name].data == mat.data for name, mat in m.mats.items())
+                or any(h.is_invertible() for h in hom_basis(x, m))):
             return i
     return -1
 
@@ -818,7 +824,9 @@ def module_to_json(m: Module) -> dict:
 
 def module_from_json(a: BasedAlgebra, data: dict) -> Module:
     """The module that `module_to_json` writes.  Anything else, such as a key
-    that names no vertex or arrow of a, is a ModuleError, never dropped."""
+    that names no vertex or arrow of a, or an action entry that is not a
+    string n or n/q (the coefficient rule of `presentation_from_json`), is a
+    ModuleError, never dropped."""
     f = a.field
     if not (isinstance(data, dict) and data.keys() - {"label"} == {"dims", "actions"}
             and isinstance(data["dims"], dict) and isinstance(data["actions"], dict)):
@@ -834,8 +842,11 @@ def module_from_json(a: BasedAlgebra, data: dict) -> Module:
             raise ModuleError(f"actions must map arrows {list(sources)} to lists of rows, "
                               f"not {name!r}")
         try:
-            mats[name] = Matrix(f, [[f.scalar_from_str(str(x)) for x in row] for row in rows],
-                                cols=dims[sources[name]])
-        except (ValueError, ZeroDivisionError, LinalgError) as exc:
+            entries = [[_coefficient(f, x) if type(x) is str else None for x in row]
+                       for row in rows]
+            if any(None in row for row in entries):
+                raise ParseError("an entry is not a string n or n/q")
+            mats[name] = Matrix(f, entries, cols=dims[sources[name]])
+        except (ParseError, LinalgError) as exc:
             raise ModuleError(f"bad action for {name}: {exc}") from None
     return Module(a, dims, mats, label=data.get("label", "M"), validate=True)

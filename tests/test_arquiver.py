@@ -12,7 +12,13 @@ from quiverkit.arquiver import (
     tilted_quotient,
     transport_module,
 )
-from quiverkit.homology import HomologyError, ext_group, tau
+from quiverkit.homology import (
+    HomologyError,
+    almost_split_middle,
+    ext_group,
+    start_resolution,
+    tau,
+)
 from quiverkit.linalg import Matrix, SpanTracker, kernel_basis
 from quiverkit.quiver import parse_presentation, quiver_isomorphism
 from quiverkit.repmod import (
@@ -501,12 +507,23 @@ def test_cyclic_nakayama_knit_closes(n, k):
 
 
 @pytest.mark.parametrize("field", ["gf(3)", "gf(5)", "gf(7)"])
-@pytest.mark.parametrize("n,k", [(3, 4), (6, 4), (5, 5), (4, 6)])
+@pytest.mark.parametrize("n,k", [(3, 4), (6, 4), (5, 5), (4, 6), (2, 6)])
 def test_cyclic_nakayama_knit_agrees_over_small_fields(n, k, field):
     def data(f):
         frag = knit(_algebra_over(f"cyclic_{n}_{k}", f), 2 * n * k)
         return (frag.complete, [m.dims for m in frag.nodes], frag.arrows, frag.tau_links)
     assert data(field) == data("rational")
+
+
+def test_linear_a32_knit_closes_with_every_interval():
+    # the scale a knit reaches when its ready sequences build no middle term
+    n = 32
+    text = (f"field: gf(32003)\nvertices: {' '.join(str(i) for i in range(1, n + 1))}\n"
+            f"arrows: {', '.join(f'a{i}: {i} -> {i + 1}' for i in range(1, n))}\n")
+    frag = knit(build_algebra(parse_presentation(text), cap=40), 600)
+    assert frag.complete and len(frag.nodes) == 528
+    assert sorted(m.dims for m in frag.nodes) == sorted(
+        tuple(int(i <= v < j) for v in range(n)) for i in range(n) for j in range(i + 1, n + 1))
 
 
 def test_almost_split_class_needs_the_radical():
@@ -537,11 +554,18 @@ def test_almost_split_class_needs_the_radical():
         for rho in end_radical_basis(hom_basis(ty, ty)):
             assert _ext_class(g, rho.compose(xi)) == [f.zero()] * d
     assert planes
-    # over GF(2) the trace form cannot see that radical: a domain error,
-    # never a guessed sequence
+    # over GF(2) the trace form cannot see that radical: building that E is
+    # a domain error, never a guessed sequence
     a2 = build_algebra(parse_presentation("field: gf(2)\n" + text))
+    y = next(m for m in knit(a2, 10).nodes if m.dims == (2,))
     with pytest.raises(HomologyError, match="gf\\(2\\)"):
-        knit(a2, 10)
+        almost_split_middle(y, tau(y), start_resolution(y))
+    # but the knit never builds it: the arrows out of tau Y are known, and
+    # they balance the sequence
+    def data(b):
+        frag = knit(b, 10)
+        return (frag.complete, [m.dims for m in frag.nodes], frag.arrows, frag.tau_links)
+    assert data(a2) == data(a)
 
 
 def test_incomplete_reason_names_the_cap(alg_a31, alg_bprime, frag_b):

@@ -267,6 +267,21 @@ def test_module_json_validates_a_commutativity_relation(field):
         module_from_json(a, data)
 
 
+@pytest.mark.parametrize("field", ["rational", "gf(7)"])
+def test_module_json_reads_entries_as_presentation_coefficients(field):
+    # an action entry is a string n or n/q after an optional minus sign, the
+    # coefficient rule of presentation_from_json; nothing else is a scalar
+    a = _fixture_over("d4_tilted.q", field)
+    m = projective(a, "1")
+    data = module_to_json(m)
+    data["actions"]["a"], data["actions"]["d"] = [["2/2"]], [["-2/2"]]
+    assert module_from_json(a, data).key() == m.key()
+    for bad in ["1.0", 1, " 1 ", "1/0", "+1", "1/-1", "", "x", None, 1.0]:
+        data["actions"]["a"] = [[bad]]
+        with pytest.raises(ModuleError, match="^bad action for a: [^\n]*$"):
+            module_from_json(a, data)
+
+
 def test_submodule_requires_closed_spans(alg_b):
     p = projective(alg_b, "2")
     # the span at the top vertex is not action-closed
