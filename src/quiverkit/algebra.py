@@ -21,8 +21,10 @@ only the JSON form spells the table out densely.
 
 The grading is indexed once, when the algebra is built: ``between[v][w]``
 lists the basis indices of e_v A e_w and ``leaving[v]`` those of e_v A,
-each in basis order.  Projectives, actions on modules, covers and
-annihilators read which basis elements span e_v A e_w from this table.
+each in basis order, and ``slot[k]`` is the position of b_k in its
+``between`` list.  Projectives, actions on modules, covers, the transpose
+and annihilators read which basis elements span e_v A e_w from this table,
+and a product read from ``mult`` finds its coordinate there by ``slot``.
 
 Basis representatives of a built algebra are paths in degree-lexicographic
 order (length first, then arrow order from the presentation); a relation
@@ -77,14 +79,17 @@ class BasedAlgebra:
         self._opposite = None
         self._resolutions = {}
         self._projectives = {}
+        self._injectives = {}
         if len(self.idempotents) != len(self.vertices):
             raise BuildError("one idempotent per vertex required")
         if sorted(set(self.labels)) != sorted(self.labels):
             raise BuildError("duplicate basis labels")
         self.leaving = [[] for _ in self.vertices]  # v -> basis of e_v A
         self.between = [[[] for _ in self.vertices] for _ in self.vertices]  # of e_v A e_w
+        self.slot = []  # k -> the position of b_k in its between list
         for k, (v, w) in enumerate(zip(self.source, self.target)):
             self.leaving[v].append(k)
+            self.slot.append(len(self.between[v][w]))
             self.between[v][w].append(k)
 
     # -- small helpers ------------------------------------------------------
@@ -203,8 +208,9 @@ def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
     the relations is saturated by arrow multiplication on both sides; the
     enumeration stops at the first length where every path lies in that
     span.  A presentation needing paths longer than `cap` is rejected, and
-    the error names the cap: an acyclic quiver whose longest path reaches
-    the cap, such as linear A31, needs a larger one.
+    the error names the cap.  A quiver with no oriented cycle has no path
+    past its longest one, so there the cap is raised to what that path
+    needs: linear A32 and A40 build at the default.
     """
     q = pres.quiver
     f = pres.field
@@ -223,6 +229,11 @@ def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
     gen_maxlen = [max(len(w) for _, w in g) for g in gens]
     margin = max((gen_maxlen[i] - gen_minlen[i] for i in range(len(gens))), default=0)
     max_gen_len = max(gen_maxlen, default=2)
+    longest = _longest_path(nverts, asrc, atgt)
+    if longest is not None:
+        # past the longest path every length is vacuously in the span, and
+        # the stop rule then wants margin more lengths
+        cap = max(cap, longest + max(margin, 1))
 
     # paths[(length)] = list of (source, target, word); path_index[word key]
     paths_by_len = {0: [(i, i, ()) for i in range(nverts)],
@@ -361,6 +372,28 @@ def build_algebra(pres: Presentation, cap: int = 30) -> BasedAlgebra:
         exprs.append(((f.one(), s, tuple(w)),))
     alg._expressions = exprs
     return alg
+
+
+def _longest_path(nverts, asrc, atgt):
+    """The number of arrows on the longest path, or None when the quiver has
+    an oriented cycle: sources are removed one at a time, each vertex's
+    longest path into it known once its last in-arrow is removed."""
+    indegree = [0] * nverts
+    for t in atgt:
+        indegree[t] += 1
+    depth = [0] * nverts
+    ready = [v for v in range(nverts) if not indegree[v]]
+    seen = 0
+    while ready:
+        v = ready.pop()
+        seen += 1
+        for s, t in zip(asrc, atgt):
+            if s == v:
+                depth[t] = max(depth[t], depth[v] + 1)
+                indegree[t] -= 1
+                if not indegree[t]:
+                    ready.append(t)
+    return max(depth, default=0) if seen == nverts else None
 
 
 def _reject_unbounded_paths(arrows, asrc, atgt, terms):

@@ -25,7 +25,13 @@ A map out of a resolution term, a sum of projectives e_v A, is handled by
 its generator images: Hom(e_v A, N) = N e_v, so chain lifts and the
 transpose are read from or built out of those images
 (`ProjectiveSum.generator_images`, `ProjectiveSum.parts`, `psum_map`), with
-no Hom system to solve.  A chain lift reads the generator images of each
+no Hom system to solve.  A differential holds its images and builds its
+blocks only when they are read (by a kernel span, or the pushout of an
+almost split sequence); the transpose reads d1 through its images alone,
+so d1 is never assembled.  Tr M = coker Hom(d1, A) is read at each vertex
+from the structure constants, and tau = D Tr and tau^-1 = Tr D are each
+built as one module from the quotient's columns (Auslander-Reiten-Smalo
+IV.1).  A chain lift reads the generator images of each
 composite it lifts without composing maps, and solves for all generators at
 one vertex with one elimination.  A map's values are linear in them:
 `value_matrix` takes them to a map's values at given vectors, Ext cocycles
@@ -40,7 +46,15 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from quiverkit.algebra import BasedAlgebra
-from quiverkit.linalg import Matrix, SpanTracker, kernel_basis, lincomb, solve_many
+from quiverkit.linalg import (
+    Matrix,
+    SpanTracker,
+    echelon,
+    kernel_basis,
+    lincomb,
+    residue,
+    solve_many,
+)
 from quiverkit.repmod import (
     Module,
     ModuleMap,
@@ -51,8 +65,8 @@ from quiverkit.repmod import (
     hom_basis,
     kernel_cover,
     kernel_span,
+    projective,
     projective_cover,
-    projective_sum,
     psum_map,
     right_action,
     simple,
@@ -274,46 +288,114 @@ def ext_dim(m: Module, n: Module, k: int, resolution: Resolution = None):
 # transpose and tau
 
 
-def transpose(m: Module, res: Resolution = None) -> Module:
-    """Tr(M) over the opposite algebra, from a minimal presentation (read
-    from res, m's resolution, when the caller holds one; a resolution of
-    another module is refused).
+def _transpose_columns(m: Module, res):
+    """(dims, cols) of Tr M = coker Hom(d1, A), d1: P1 -> P0 the first
+    differential of M's minimal presentation (read from res, m's
+    resolution, when the caller holds one); None when M is projective,
+    when d1 is zero.  Tr M is a quotient of Q1 = sum_beta e_vb A^op, one
+    summand per summand e_vb A of P1, over the opposite algebra: dims[w] is
+    its dimension at w, and cols[name] the columns of the quotient's block
+    of the arrow name (from its target to its source in A) at the free
+    positions of the A-target, read at those of the A-source.
+
+    At w, Q1 is the sum of the e_w A e_vb.  The image of Hom(d1, A) there
+    is spanned by the products b x_beta, side by side, for b in e_w A e_va
+    and x_beta in e_va A e_vb the alpha-th summand part of d1's beta-th
+    generator image: b x is read from the structure constants.  The
+    arrow's block of Q1 is block diagonal, with the arrow's blocks of the
+    opposite projectives P(vb) on the diagonal.
+    """
+    a = m.algebra
+    f = a.field
+    z = f.zero()
+    res = (_resolving(res, m) if res else start_resolution(m)).extend(1)
+    if len(res.terms) < 2:
+        return None
+    p0, p1 = res.terms[0], res.terms[1]
+    parts = p0.parts(p1.verts, p1.generator_images(res.diffs[0]))
+    n = len(a.vertices)
+    # the offset of each summand of Q1 at w, its dimension there, and the
+    # (summand, place in it) of each of its positions
+    offsets = [[0] * len(p1.verts) for _ in range(n)]
+    dims = [0] * n
+    place = [[] for _ in range(n)]
+    for w in range(n):
+        for beta, vb in enumerate(p1.verts):
+            offsets[w][beta] = dims[w]
+            dims[w] += len(a.between[w][vb])
+            place[w] += [(beta, i) for i in range(len(a.between[w][vb]))]
+    spans = [[] for _ in range(n)]
+    for alpha, va in enumerate(p0.verts):
+        xs = [(beta, j, x) for beta, vb in enumerate(p1.verts)
+              for j, x in zip(a.between[va][vb], parts[beta][alpha]) if x]
+        for w in range(n):
+            for k in a.between[w][va]:
+                col = [z] * dims[w]
+                for beta, j, x in xs:
+                    off = offsets[w][beta]
+                    for l, c in a.mult.get((k, j), ()):
+                        col[off + a.slot[l]] = f.add(col[off + a.slot[l]], f.mul(x, c))
+                spans[w].append(col)
+    echelons = [echelon(f, spans[w], dims[w]) for w in range(n)]
+    free = []
+    for (_, pivots), d in zip(echelons, dims):
+        taken = set(pivots)
+        free.append([c for c in range(d) if c not in taken])
+    op = a.opposite()
+    proj = {vb: projective(op, a.vertices[vb]) for vb in set(p1.verts)}
+    cols = {}
+    for rep in a.arrow_reps:
+        s, t = rep.source, rep.target
+        rows, pivots = echelons[s]
+        cols[rep.name] = []
+        for c in free[t]:
+            beta, i = place[t][c]
+            block = proj[p1.verts[beta]].mats[rep.name]
+            vec = [z] * dims[s]
+            vec[offsets[s][beta]:offsets[s][beta] + block.rows] = block.column(i)
+            r = residue(f, rows, pivots, vec)
+            cols[rep.name].append([r[k] for k in free[s]])
+    return [len(fr) for fr in free], cols
+
+
+def transpose(m: Module) -> Module:
+    """Tr(M) over the opposite algebra, from a minimal presentation, as
+    `_transpose_columns` reads it.
 
     Projective summands of M contribute nothing (their minimal presentation
     has no first term), so Tr of a projective is zero.
     """
     op = m.algebra.opposite()
-    res = (_resolving(res, m) if res else start_resolution(m)).extend(1)
-    if len(res.terms) < 2:
+    tr = _transpose_columns(m, None)
+    if tr is None:
         return zero_module(op)
-    p0, p1, d1 = res.terms[0], res.terms[1], res.diffs[0]
-    # The alpha-th summand part of d1's beta-th generator image lies in
-    # e_va A e_vb = e_vb A^op e_va, and op.between[vb][va] ==
-    # a.between[va][vb]: the same basis, in the same order, is the beta-th
-    # summand of q1 at va.  Hom(d1, A) sends the alpha-th generator of q0
-    # to these parts, side by side.
-    q0 = projective_sum(op, p0.verts)
-    q1 = projective_sum(op, p1.verts)
-    parts = p0.parts(p1.verts, p1.generator_images(d1))
-    gen_images = [[x for part in parts for x in part[alpha]]
-                  for alpha in range(len(p0.verts))]
-    g = psum_map(q0, q1.module, gen_images)
-    coker = cokernel_of(g, label=f"Tr {m.label}")
-    return coker
+    dims, cols = tr
+    return Module(op, dims, {r.name: Matrix.from_columns(op.field, cols[r.name], dims[r.target])
+                             for r in op.arrow_reps}, label=f"Tr {m.label}")
 
 
 def tau(m: Module, res: Resolution = None) -> Module:
-    """Auslander-Reiten translate D Tr; projective summands map to zero."""
-    t = transpose(m, res)
-    out = dual_module(t)
-    return Module(m.algebra, out.dims, out.mats, label=f"tau {m.label}")
+    """Auslander-Reiten translate D Tr; projective summands map to zero.
+
+    D transposes Tr's blocks, so each quotient column of
+    `_transpose_columns` is a row of tau M: one module is built, with no
+    cokernel or dual on the way."""
+    a = m.algebra
+    tr = _transpose_columns(m, res)
+    dims, cols = tr or ([0] * len(a.vertices), {})
+    return Module(a, dims, {r.name: Matrix.wrap(a.field, cols[r.name], dims[r.target],
+                                                dims[r.source])
+                            for r in a.arrow_reps if tr}, label=f"tau {m.label}")
 
 
 def tau_inv(m: Module) -> Module:
-    """Inverse translate Tr D; injective summands map to zero."""
-    d = dual_module(m)
-    t = transpose(d)
-    return Module(m.algebra, t.dims, t.mats, label=f"tau- {m.label}")
+    """Inverse translate Tr D; injective summands map to zero.  Tr D M is
+    built once, over m's algebra, from `_transpose_columns` of D M."""
+    a = m.algebra
+    tr = _transpose_columns(dual_module(m), None)
+    dims, cols = tr or ([0] * len(a.vertices), {})
+    return Module(a, dims, {r.name: Matrix.from_columns(a.field, cols[r.name], dims[r.target])
+                            for r in a.arrow_reps if tr}, label=f"tau- {m.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ truth values and printed forms are those of the Fraction.  All results are
 exact; there are no tolerances anywhere.
 
 Matrices are lists of row lists in both fields, and one Gauss-Jordan
-elimination serves `rref`, `echelon`, `kernel_basis`, `solve_many` (with
-`solve` its one-column case), `unit_complement` and, one row at a time,
-`SpanTracker`.  `rref`, `echelon` and `kernel_basis` each run `_eliminate`
-on one copy of the rows.  `echelon` and `kernel_basis` read their results
+elimination, `_eliminate`, serves `rref`, `echelon`, `kernel_basis`,
+`kernel_echelon`, `solve_many` (with `solve` its one-column case),
+`unit_complement` and, one row at a time, `SpanTracker`.  `rref`,
+`echelon`, `kernel_basis` and `kernel_echelon` each run it on one copy of
+the rows; `kernel_echelon` and `unit_complement` run it with the columns
+reversed.  `echelon`, `kernel_basis` and `kernel_echelon` read their results
 from that copy and build no `RrefResult` or `Matrix` around it: most of
 their blocks are tiny, often 1x1.  The single row step, row -= c *
 pivot_row, visits only the nonzero columns of the pivot row, and uses
@@ -20,9 +22,9 @@ entry is already 1 is not scaled, so it costs no inverse.
 It tests entries for zero by truth value, so GF(p) entries must stay
 reduced into [0, p): `from_int` and `scalar_from_str` reduce every scalar
 that enters, and the field operations keep it so.  A block with no rows or
-no columns is never multiplied or eliminated: `matmul`, `kernel_basis` and
-`unit_complement` return its result at once, and the elimination makes no
-step on it.
+no columns is never multiplied or eliminated: `matmul`, `kernel_basis`,
+`kernel_echelon` and `unit_complement` return its result at once, and the
+elimination makes no step on it.
 
 A block is built once, from its rows (`Matrix.wrap`) or from its columns
 (`Matrix.from_columns`), not by writing entries one at a time into a
@@ -412,6 +414,42 @@ def kernel_basis(m: Matrix) -> list:
                 v[pc] = f.neg(entry)
         basis.append(v)
     return basis
+
+
+def kernel_echelon(m: Matrix):
+    """The reduced echelon basis of the null space of m, in pivot order, and
+    its pivot columns: the rows and pivots of `echelon(f, kernel_basis(m),
+    m.cols)`, from one elimination of m with its columns reversed.
+
+    Reversed, each free column c gives the kernel vector that is 1 at c,
+    zero at the other free columns, and nonzero elsewhere only at pivot
+    columns before c.  Read in the original order, its first nonzero entry
+    is that 1, and it is zero at the other such columns: these vectors are
+    the unique reduced echelon basis of the kernel, pivoting on the free
+    columns."""
+    f = m.field
+    n = m.cols
+    if not (m.rows and n):
+        return Matrix.identity(f, n).data, list(range(n))
+    work = [row[::-1] for row in m.data]
+    pivots = _eliminate(work, n, f)
+    taken = set(pivots)
+    z, one = f.zero(), f.one()
+    rows, out = [], []
+    for c in range(n - 1, -1, -1):
+        if c in taken:
+            continue
+        v = [z] * n
+        v[n - 1 - c] = one
+        for r, p in enumerate(pivots):
+            if p > c:
+                break
+            x = work[r][c]
+            if x:
+                v[n - 1 - p] = f.neg(x)
+        rows.append(v)
+        out.append(n - 1 - c)
+    return rows, out
 
 
 def solve_many(m: Matrix, bs):

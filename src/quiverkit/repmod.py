@@ -26,6 +26,7 @@ matrix's columns at the source's free positions, read at the target's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, combinations
 
 from quiverkit.algebra import BasedAlgebra
@@ -34,6 +35,7 @@ from quiverkit.linalg import (
     Matrix,
     echelon,
     kernel_basis,
+    kernel_echelon,
     lincomb,
     matmul,
     residue,
@@ -244,15 +246,22 @@ def projective(a: BasedAlgebra, v) -> Module:
 
 def _build_projective(a: BasedAlgebra, v) -> Module:
     f = a.field
+    z = f.zero()
     per_vertex = a.between[a.vertex_index(v)]
     dims = [len(lst) for lst in per_vertex]
     mats = {}
     for rep in a.arrow_reps:
-        # the column of b_k is b_k . rho, read at the basis of the target
-        rho, at_target = list(rep.vector), per_vertex[rep.target]
-        products = [a.mul_vec(a.unit(k), rho) for k in per_vertex[rep.source]]
-        mats[rep.name] = Matrix.wrap(f, [[p[k2] for p in products] for k2 in at_target],
-                                     dims[rep.target], dims[rep.source])
+        # the column of b_k is b_k . rho = sum_j rho_j b_k b_j, read from the
+        # sparse table at the slots of the target's basis
+        rho = [(j, y) for j, y in enumerate(rep.vector) if y]
+        cols = []
+        for k in per_vertex[rep.source]:
+            col = [z] * dims[rep.target]
+            for j, y in rho:
+                for l, c in a.mult.get((k, j), ()):
+                    col[a.slot[l]] = f.add(col[a.slot[l]], f.mul(y, c))
+            cols.append(col)
+        mats[rep.name] = Matrix.from_columns(f, cols, dims[rep.target])
     return Module(a, dims, mats, label=f"P({v})")
 
 
@@ -268,9 +277,13 @@ def dual_module(m: Module) -> Module:
 
 
 def injective(a: BasedAlgebra, v) -> Module:
-    """I(v) as the dual of the opposite algebra's projective at v."""
-    m = dual_module(projective(a.opposite(), v))
-    return Module(a, m.dims, m.mats, label=f"I({v})")
+    """I(v) as the dual of the opposite algebra's projective at v, built
+    once per algebra and vertex and shared, like `projective`."""
+    vi = a.vertex_index(v)
+    if vi not in a._injectives:
+        m = dual_module(projective(a.opposite(), v))
+        a._injectives[vi] = Module(a, m.dims, m.mats, label=f"I({v})")
+    return a._injectives[vi]
 
 
 def direct_sum(a: BasedAlgebra, mods, label=None) -> Module:
@@ -496,7 +509,8 @@ class ProjectiveSum:
     of the sum is held by its generator images, the coordinates that
     `generator_images` reads and `map_with_coordinates` builds, and that
     `postcompose` pushes through a map; `parts` splits vectors of the sum by
-    its summands.
+    its summands.  A map that `psum_map` made out of this sum holds them,
+    and builds its blocks only when they are read.
     """
 
     algebra: BasedAlgebra
@@ -514,8 +528,11 @@ class ProjectiveSum:
         the target at the c-th summand's vertex.
 
         By Yoneda, Hom(e_v A, N) = N e_v: the images determine the map, and
-        concatenated they are its coordinates.
+        concatenated they are its coordinates.  A map that `psum_map` made
+        out of this sum gives back the images it holds, uncopied.
         """
+        if isinstance(fmap, _GeneratedMap) and fmap.psum is self:
+            return fmap.images
         a = self.algebra
         cols = {}  # v -> the column of each summand's generator at v
         for v in set(self.verts):
@@ -606,30 +623,44 @@ def right_action(m: Module, v):
             for k in a.leaving[v]}
 
 
-def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
-    """The module map out of the projective sum sending the c-th summand's
-    generator (the idempotent basis element) to gen_images[c] (a coordinate
-    vector in target at the summand's vertex).
+class _GeneratedMap(ModuleMap):
+    """A map out of the projective sum psum held by its generator images,
+    as `psum_map` returns it: its blocks are built when first read.
 
-    The column of b_k in the c-th summand is gen_images[c] . b_k, read from
+    The column of b_k in the c-th summand is images[c] . b_k, read from
     `right_multiples` in basis order, the order of the summand's basis at
     each vertex; the summands' columns follow one another, so each vertex's
     block is its columns in the order they come.
     """
-    a = psum.algebra
-    columns = [[] for _ in a.vertices]
-    for c, v in enumerate(psum.verts):
-        for k, image in right_multiples(target, v, gen_images[c]).items():
-            columns[a.target[k]].append(image)
-    return ModuleMap(psum.module, target, [Matrix.from_columns(a.field, cols, d)
-                                           for cols, d in zip(columns, target.dims)])
+
+    def __init__(self, psum, target, images):
+        self.psum, self.images = psum, images
+        self.source, self.target = psum.module, target
+
+    @cached_property
+    def blocks(self):
+        a = self.psum.algebra
+        columns = [[] for _ in a.vertices]
+        for image, v in zip(self.images, self.psum.verts):
+            for k, col in right_multiples(self.target, v, image).items():
+                columns[a.target[k]].append(col)
+        return [Matrix.from_columns(a.field, cols, d)
+                for cols, d in zip(columns, self.target.dims)]
+
+
+def psum_map(psum: ProjectiveSum, target: Module, gen_images) -> ModuleMap:
+    """The module map out of the projective sum sending the c-th summand's
+    generator (the idempotent basis element) to gen_images[c] (a coordinate
+    vector in target at the summand's vertex).  It holds the images and
+    builds its blocks on first read: a differential that is read only
+    through `ProjectiveSum.generator_images` is never assembled."""
+    return _GeneratedMap(psum, target, gen_images)
 
 
 def kernel_span(fmap: ModuleMap):
     """The reduced echelon basis of ker fmap at each vertex, with its pivot
-    columns, as `echelon` returns them."""
-    f = fmap.source.algebra.field
-    return [echelon(f, kernel_basis(b), d) for b, d in zip(fmap.blocks, fmap.source.dims)]
+    columns, as `echelon` returns them (`linalg.kernel_echelon`)."""
+    return list(map(kernel_echelon, fmap.blocks))
 
 
 def kernel_cover(m: Module, span):

@@ -91,13 +91,18 @@ def test_cycle_avoiding_every_relation_rejected_up_front():
 
 
 def test_path_length_cap_is_named_and_can_be_raised():
-    # linear A32 is finite dimensional; its longest path has 31 arrows
+    # linear A32 has no oriented cycle, so its longest path (31 arrows)
+    # sets the cap it needs, past the default
     vertices = " ".join(str(v) for v in range(1, 33))
     arrows = ", ".join(f"a{v}: {v} -> {v + 1}" for v in range(1, 32))
     pres = parse_presentation(f"field: rational\nvertices: {vertices}\narrows: {arrows}\n")
+    assert build_algebra(pres).dim == 32 * 33 // 2
+    # a loop x with x^40 = 0 needs paths of length 40, past the default cap
+    loop = parse_presentation("field: rational\nvertices: 1\narrows: x: 1 -> 1\n"
+                              f"relations: {'*'.join(['x'] * 40)}\n")
     with pytest.raises(BuildError, match="path-length cap 30 tripped.*a cap above 30"):
-        build_algebra(pres)
-    assert build_algebra(pres, cap=40).dim == 32 * 33 // 2
+        build_algebra(loop)
+    assert build_algebra(loop, cap=40).dim == 40
 
 
 def test_loop_with_admissible_relation_builds():
@@ -195,13 +200,16 @@ def _assert_sparse_graded_table(a):
 
 
 def _assert_graded_index(a):
-    """between and leaving equal a scan of the basis; the opposite's index
+    """between and leaving equal a scan of the basis, and slot places each
+    basis element in its between list; the opposite's index
     is the transpose (what `transpose` reads), and between[v][w] spans
     P(v) at w and counts the Cartan entry."""
     n = len(a.vertices)
     assert a.between == [[[k for k in range(a.dim) if (a.source[k], a.target[k]) == (v, w)]
                           for w in range(n)] for v in range(n)]
     assert a.leaving == [[k for k in range(a.dim) if a.source[k] == v] for v in range(n)]
+    assert [a.between[a.source[k]][a.target[k]][a.slot[k]] for k in range(a.dim)] == list(
+        range(a.dim))
     op, cartan = a.opposite(), cartan_matrix(a)
     for v in range(n):
         dims = projective(a, a.vertices[v]).dims
@@ -210,7 +218,10 @@ def _assert_graded_index(a):
             assert len(a.between[v][w]) == dims[w] == cartan[v, w]
 
 
-def test_structure_constants_are_sparse_and_graded(alg_c):
+def graded_algebras():
+    """The 152 algebras whose index and table are checked, over Q and GF(3):
+    the fixtures, their opposites, vertex quotients, one-point extensions
+    and coextensions, and relation extensions."""
     algebras = []
     for field in ("rational", "gf(3)"):
         for name in FIXTURES:
@@ -219,10 +230,16 @@ def test_structure_constants_are_sparse_and_graded(alg_c):
             algebras += [a, quotient_by_vertex(a, a.vertices[-1]), a.opposite(),
                          one_point_extension(a, s), one_point_coextension(a, s)]
             algebras += [one_point_extension(a, projective(a, v)) for v in a.vertices]
-    p = direct_sum(alg_c, [projective(alg_c, v) for v in "123"])
-    algebras += [relation_extension(alg_c),
-                 relation_extension(one_point_extension(alg_c, p))]
+    c = build_algebra(load_fixture("d4_tilted.q"))
+    p = direct_sum(c, [projective(c, v) for v in "123"])
+    algebras += [relation_extension(c), relation_extension(one_point_extension(c, p))]
     algebras += [relation_extension(a) for a in algebras[:] if _gldim_at_most_2(a)]
+    return algebras
+
+
+def test_structure_constants_are_sparse_and_graded():
+    algebras = graded_algebras()
+    assert len(algebras) == 152
     for a in algebras:
         _assert_sparse_graded_table(a)
         _assert_graded_index(a)

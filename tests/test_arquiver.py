@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from quiverkit.algebra import build_algebra, cartan_matrix, gabriel_quiver
@@ -524,6 +527,37 @@ def test_linear_a32_knit_closes_with_every_interval():
     assert frag.complete and len(frag.nodes) == 528
     assert sorted(m.dims for m in frag.nodes) == sorted(
         tuple(int(i <= v < j) for v in range(n)) for i in range(n) for j in range(i + 1, n + 1))
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _linear_nakayama(n, k, field):
+    """Linear A_n with rad^k = 0: the paths of length k vanish, and for
+    k = 1 there are no arrows."""
+    text = f"field: {field}\nvertices: {' '.join(str(i) for i in range(1, n + 1))}\n"
+    if k > 1 and n > 1:
+        text += f"arrows: {', '.join(f'a{i}: {i} -> {i + 1}' for i in range(1, n))}\n"
+    if 1 < k < n:
+        text += "relations: " + ", ".join("*".join(f"a{i + j}" for j in range(k))
+                                          for i in range(1, n - k + 1)) + "\n"
+    return parse_presentation(text)
+
+
+@pytest.mark.parametrize("field", ["rational", "gf(32003)"])
+def test_linear_nakayama_knits_close_with_the_benchmark_intervals(field):
+    # the benchmark's expected answers for its Nakayama tasks, at every size
+    intervals = _benchmark_workloads()._intervals
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            frag = knit(build_algebra(_linear_nakayama(n, k, field)), 200)
+            assert frag.complete, (n, k)
+            assert sorted(m.dims for m in frag.nodes) == intervals(n, k), (n, k)
 
 
 def test_almost_split_class_needs_the_radical():
