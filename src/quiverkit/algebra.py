@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from quiverkit.linalg import Matrix, SpanTracker, echelon, rref, unit_complement
 from quiverkit.quiver import Arrow, Presentation, Quiver
 
@@ -470,8 +468,9 @@ def gabriel_quiver(a: BasedAlgebra) -> Quiver:
 
 
 def cartan_matrix(a: BasedAlgebra):
-    """Integer matrix counting basis elements from vertex i to vertex j."""
-    return np.array([[len(ks) for ks in row] for row in a.between], dtype=np.int64)
+    """The number of basis elements from vertex i to vertex j, as a list of
+    int rows."""
+    return [[len(ks) for ks in row] for row in a.between]
 
 
 def opposite_algebra(a: BasedAlgebra) -> BasedAlgebra:

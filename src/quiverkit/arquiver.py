@@ -738,6 +738,21 @@ class ExtensionReport:
         }
 
 
+def summand_nodes(frag: ARFragment, m: Module):
+    """The fragment node index of each indecomposable summand of m.  A zero
+    module, or a summand that is no node of frag, is an ARQuiverError."""
+    if m.is_zero():
+        raise ARQuiverError("the module is zero: there is nothing to extend by")
+    out = []
+    # a summand that is a node comes back as the node object
+    for summand, _ in decompose(m, frag.nodes):
+        i = next((i for i, n in enumerate(frag.nodes) if n is summand), -1)
+        if i < 0:
+            raise ARQuiverError("a summand of the module is not a fragment node")
+        out.append(i)
+    return out
+
+
 def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
                           frag: ARFragment, node_cap: int = 80):
     """Extend a cluster-tilted algebra along a module on a local slice.
@@ -756,10 +771,8 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
     verdict = check_local_slice(b, frag, sigma_idx)
     if not verdict.holds:
         raise ARQuiverError(f"the given set is not a local slice: {verdict.tags()}")
-    # a summand on the slice comes back as the slice's node object
-    for summand, _ in decompose(m, frag.nodes):
-        if not any(summand is frag.nodes[i] for i in sigma_idx):
-            raise ARQuiverError("a summand of the module is not on the local slice")
+    if not set(summand_nodes(frag, m)) <= set(sigma_idx):
+        raise ARQuiverError("a summand of the module is not on the local slice")
 
     tq = tilted_quotient(b, sigma_modules)
     if not tq.criterion_holds:
@@ -779,7 +792,7 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
     quiver_extends = (
         len(bprime.vertices) == len(b.vertices) + 1
         and all(
-            cbp[old_positions[i], old_positions[j]] == cb[i, j]
+            cbp[old_positions[i]][old_positions[j]] == cb[i][j]
             for i in range(len(b.vertices))
             for j in range(len(b.vertices))
         )
@@ -811,10 +824,7 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
     # (c) deleting the new vertex recovers the old quiver
     deleted = quotient_by_vertex(bprime, new_vertex)
     qd = gabriel_quiver(deleted)
-    deletion_recovers = bool(
-        qd.vertices == qb.vertices
-        and (qd.count_matrix() == cb).all()
-    )
+    deletion_recovers = qd.vertices == qb.vertices and qd.count_matrix() == cb
 
     # (d) radical of the new projective, and the socle factor of the new
     # injective against the translate of the module
@@ -835,12 +845,12 @@ def extend_cluster_tilted(b: BasedAlgebra, sigma_modules, m: Module,
     top_m = top_of(m)
     new_pos = bprime.vertices.index(new_vertex)
     arrows_out_ok = all(
-        cbp[new_pos, old_positions[i]] == top_m.dims[i]
+        cbp[new_pos][old_positions[i]] == top_m.dims[i]
         for i in range(len(b.vertices))
     )
     soc_factor_socle = socle_of(socle_factor)
     arrows_in_ok = all(
-        cbp[old_positions[i], new_pos]
+        cbp[old_positions[i]][new_pos]
         == soc_factor_socle.dims[bprime.vertices.index(b.vertices[i])]
         for i in range(len(b.vertices))
     )

@@ -33,7 +33,6 @@ from quiverkit.algebra import (
 from quiverkit.repmod import (
     DecompositionError,
     ModuleError,
-    decompose,
     direct_sum,
     injective,
     module_from_json,
@@ -57,6 +56,7 @@ from quiverkit.arquiver import (
     extend_cluster_tilted,
     find_local_slices_through,
     knit,
+    summand_nodes,
 )
 
 DOMAIN_ERRORS = (ParseError, MutationError, BuildError, ModuleError,
@@ -73,7 +73,10 @@ def _load_presentation(path, field_override=None):
         out = []
         replaced = False
         for line in lines:
-            if line.split("#", 1)[0].strip().lower().startswith("field:"):
+            # the parser's keyword rule: the text before the first colon,
+            # stripped and lower-cased
+            keyword = line.split("#", 1)[0].split(":", 1)
+            if len(keyword) == 2 and keyword[0].strip().lower() == "field":
                 out.append(f"field: {field_override}")
                 replaced = True
             else:
@@ -143,7 +146,7 @@ def _algebra_summary(a):
         "basis": [a.labels[k] for k in range(a.dim)],
         "arrows": [{"name": ar.name, "source": ar.source, "target": ar.target}
                    for ar in q.arrows],
-        "cartan": [[int(x) for x in row] for row in cartan_matrix(a)],
+        "cartan": cartan_matrix(a),
     }
 
 
@@ -372,10 +375,8 @@ def _dispatch(args):
         if args.slice:
             idx = _resolve_slice(args, a, frag)
         else:
-            # the nodes of m's summands, which come back as node objects
-            # (-1 for none); the first anchors the search
-            parts = [next((i for i, n in enumerate(frag.nodes) if n is s), -1)
-                     for s, _ in decompose(m, frag.nodes)]
+            # the nodes of m's summands; the first anchors the search
+            parts = summand_nodes(frag, m)
             found = find_local_slices_through(a, frag, parts[0])
             if not found:
                 raise ARQuiverError("no local slice through the module")

@@ -132,9 +132,9 @@ def _chk_build(ctx):
 def _chk_cartan(ctx):
     B = ctx["B"]
     ct = cartan_matrix(B)
-    ok = int(ct.sum()) == B.dim
+    ok = sum(map(sum, ct)) == B.dim
     op = opposite_algebra(B)
-    ok = ok and op.dim == B.dim and (cartan_matrix(op) == ct.T).all()
+    ok = ok and op.dim == B.dim and cartan_matrix(op) == [list(col) for col in zip(*ct)]
     return ok, "dim = sum of Cartan entries; opposite transposes"
 
 
@@ -263,7 +263,7 @@ def _chk_opext(ctx):
         (new_v, "1"), (new_v, "2"), (new_v, "3")]
     back = quotient_by_vertex(BP, new_v)
     ok = ok and back.dim == B.dim and (
-        gabriel_quiver(back).count_matrix() == gabriel_quiver(B).count_matrix()).all()
+        gabriel_quiver(back).count_matrix() == gabriel_quiver(B).count_matrix())
     coe = one_point_coextension(B, injective(B, "1"))
     qc = gabriel_quiver(coe)
     new_vs = [v for v in coe.vertices if v not in B.vertices]

@@ -15,12 +15,16 @@ n/q is n times the inverse of q, and q = 0 in the field is an error.  All
 terms of one relation must be parallel paths of length at least 2.  The
 relations line may be omitted.
 
+Integer matrices (``Quiver.count_matrix``, exchange matrices) are lists of
+int rows, the layout of ``linalg.Matrix.data``.
+
 Quivers are compared up to isomorphism (``canonical_form``,
 ``quiver_isomorphism`` and the visited set of the mutation-class search)
 through one enumeration of vertex orders that permutes vertices only within
 colour classes; a vertex's colour is its sorted rows and sorted columns of
 the compared matrices.  Every isomorphism keeps colours, so the results are
-those of a loop over all n! permutations.
+those of a loop over all n! permutations.  A canonical key is the tuple of
+a permuted count matrix's entries, row by row.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from operator import index
-
-import numpy as np
 
 from quiverkit.linalg import LinalgError, PrimeField, RationalField, field_from_name
 
@@ -89,12 +91,12 @@ class Quiver:
         return self.vertices.index(v)
 
     def count_matrix(self):
-        """n x n integer matrix of arrow multiplicities."""
+        """The n x n matrix of arrow multiplicities, as a list of int rows."""
         n = len(self.vertices)
         idx = {v: i for i, v in enumerate(self.vertices)}
-        m = np.zeros((n, n), dtype=np.int64)
+        m = [[0] * n for _ in range(n)]
         for a in self.arrows:
-            m[idx[a.source], idx[a.target]] += 1
+            m[idx[a.source]][idx[a.target]] += 1
         return m
 
 
@@ -445,16 +447,17 @@ def to_dot(q: Quiver) -> str:
 def _acyclic(m) -> bool:
     """True when the arrow-count matrix m has no oriented cycle (topological
     sort)."""
-    indeg = m.sum(axis=0)
+    indeg = [sum(col) for col in zip(*m)]
     ready = [i for i in range(len(m)) if indeg[i] == 0]
     seen = 0
     while ready:
         i = ready.pop()
         seen += 1
-        for j in np.flatnonzero(m[i]):
-            indeg[j] -= m[i, j]
-            if indeg[j] == 0:
-                ready.append(j)
+        for j, c in enumerate(m[i]):
+            if c:
+                indeg[j] -= c
+                if indeg[j] == 0:
+                    ready.append(j)
     return seen == len(m)
 
 
@@ -467,7 +470,7 @@ def _colours(matrices):
     """Each vertex's colour: its sorted rows and sorted columns across the
     stacked square matrices.  A vertex permutation that carries one stack
     onto another keeps colours."""
-    stacks = [m.tolist() for m in matrices] + [m.T.tolist() for m in matrices]
+    stacks = list(matrices) + [list(zip(*m)) for m in matrices]
     return [tuple(x for rows in stacks for x in sorted(rows[i])) for i in range(len(stacks[0]))]
 
 
@@ -487,17 +490,18 @@ def _extend_order(candidates, order):
             yield from _extend_order(candidates, order + (v,))
 
 
-def _canonical_key(m) -> bytes:
-    """The least of the permuted matrices m[p][:, p] over the vertex orders p
-    that list the vertices in sorted colour order.  Isomorphic matrices give
-    the same set of these, and equal keys are permuted copies of each other,
-    so keys are equal exactly for isomorphic matrices."""
+def _canonical_key(m) -> tuple:
+    """The least, as a flat tuple of entries, of the permuted matrices
+    m[p][:, p] over the vertex orders p that list the vertices in sorted
+    colour order.  Isomorphic matrices give the same set of these, and equal
+    keys are permuted copies of each other, so keys are equal exactly for
+    isomorphic matrices."""
     colours = _colours([m])
-    return min(m.take(p, 0).take(p, 1).tobytes()
+    return min(tuple(m[i][j] for i in p for j in p)
                for p in _vertex_orders(colours, sorted(colours)))
 
 
-def canonical_form(q: Quiver) -> bytes:
+def canonical_form(q: Quiver) -> tuple:
     """A key of the quiver that is equal exactly for isomorphic quivers."""
     return _canonical_key(q.count_matrix())
 
@@ -516,10 +520,10 @@ def quiver_isomorphism(q1: Quiver, q2: Quiver, extra_matrices=None):
     if extra_matrices is not None:
         if len(extra_matrices[0]) != len(extra_matrices[1]):
             return None
-        s1 += [np.asarray(m) for m in extra_matrices[0]]
-        s2 += [np.asarray(m) for m in extra_matrices[1]]
+        s1 += extra_matrices[0]
+        s2 += extra_matrices[1]
     for p in _vertex_orders(_colours(s1), _colours(s2)):
-        if all(np.array_equal(a.take(p, 0).take(p, 1), b) for a, b in zip(s1, s2)):
+        if all([[a[i][j] for j in p] for i in p] == b for a, b in zip(s1, s2)):
             # p maps position p[i] of q1 to position i of q2
             return {q1.vertices[v]: q2.vertices[i] for i, v in enumerate(p)}
     return None
@@ -535,7 +539,7 @@ def _quiver_from_b(b, vertices):
     n = len(vertices)
     for i in range(n):
         for j in range(n):
-            for _ in range(int(max(b[i, j], 0))):
+            for _ in range(max(b[i][j], 0)):
                 arrows.append(Arrow(f"m{k}", vertices[i], vertices[j]))
                 k += 1
     return Quiver(tuple(vertices), tuple(arrows))
@@ -546,21 +550,28 @@ def _exchange_matrix(q: Quiver, checked):
     loop anywhere, or a 2-cycle through a vertex index in checked, is a
     MutationError."""
     counts = q.count_matrix()
-    loops = np.flatnonzero(np.diag(counts))
-    if loops.size:
-        raise MutationError(f"loop at vertex {q.vertices[loops[0]]}")
+    n = len(counts)
+    for i in range(n):
+        if counts[i][i]:
+            raise MutationError(f"loop at vertex {q.vertices[i]}")
     for k in checked:
-        if (np.minimum(counts[k], counts[:, k]) > 0).any():
+        if any(counts[k][j] and counts[j][k] for j in range(n)):
             raise MutationError(f"2-cycle at vertex {q.vertices[k]}")
-    return counts - counts.T
+    return [[counts[i][j] - counts[j][i] for j in range(n)] for i in range(n)]
 
 
 def mutate_b_matrix(b, k):
-    """Exchange-matrix mutation at index k."""
-    b = np.asarray(b, dtype=np.int64)
-    col, row = b[:, [k]], b[[k], :]
-    out = b + (np.abs(col) * row + col * np.abs(row)) // 2
-    out[k, :], out[:, k] = -b[k, :], -b[:, k]
+    """Exchange-matrix mutation at index k: b'[i][j] is -b[i][j] when i or j
+    is k, and b[i][j] + (|b[i][k]| b[k][j] + b[i][k] |b[k][j]|) / 2 else."""
+    row = b[k]
+    out = []
+    for i, bi in enumerate(b):
+        if i == k:
+            out.append([-x for x in bi])
+            continue
+        c = bi[k]
+        out.append([x + (abs(c) * r + c * abs(r)) // 2 for x, r in zip(bi, row)])
+        out[i][k] = -c
     return out
 
 
@@ -604,7 +615,7 @@ def find_acyclic_in_mutation_class(q: Quiver, max_depth: int):
                 continue
             visited.add(key)
             npath = path + [q.vertices[ki]]
-            if _acyclic(np.maximum(nb, 0)):
+            if _acyclic([[max(x, 0) for x in row] for row in nb]):
                 return npath
             queue.append((nb, npath))
     return None

@@ -31,7 +31,7 @@ from test_repmod import _fixture_over
 def test_a2_dimension(alg_a2):
     assert alg_a2.dim == 3
     assert alg_a2.labels == ["e1", "e2", "a"]
-    assert (cartan_matrix(alg_a2) == np.array([[1, 1], [0, 1]])).all()
+    assert cartan_matrix(alg_a2) == [[1, 1], [0, 1]]
 
 
 def test_d4_dimension_and_basis(alg_b):
@@ -57,7 +57,7 @@ def test_gabriel_recovers_input(alg_b, pres_b):
 def test_semisimple_quiver_empty():
     a = build_algebra(parse_presentation("field: rational\nvertices: 1 2 3\n"))
     assert gabriel_quiver(a).arrows == ()
-    assert (cartan_matrix(a) == np.eye(3, dtype=int)).all()
+    assert (np.array(cartan_matrix(a)) == np.eye(3, dtype=int)).all()
 
 
 def test_structure_checks(alg_b, alg_c, alg_bprime, alg_a2):
@@ -68,7 +68,7 @@ def test_structure_checks(alg_b, alg_c, alg_bprime, alg_a2):
 
 
 def test_cartan_row_sums(alg_b):
-    assert int(cartan_matrix(alg_b).sum()) == alg_b.dim
+    assert int(np.array(cartan_matrix(alg_b)).sum()) == alg_b.dim
 
 
 def test_not_finite_dimensional_rejected():
@@ -143,8 +143,7 @@ def test_quotient_refuses_an_idempotent_outside_the_ideal(alg_a2):
 def test_quotient_bprime_recovers_square(alg_bprime, alg_b):
     q = quotient_by_vertex(alg_bprime, "5")
     assert q.dim == 10
-    assert (gabriel_quiver(q).count_matrix()
-            == gabriel_quiver(alg_b).count_matrix()).all()
+    assert gabriel_quiver(q).count_matrix() == gabriel_quiver(alg_b).count_matrix()
 
 
 FIXTURES = ["d4_clustertilted.q", "d4_tilted.q", "d4_tilted_ext_s2.q",
@@ -215,7 +214,7 @@ def _assert_graded_index(a):
         dims = projective(a, a.vertices[v]).dims
         for w in range(n):
             assert op.between[w][v] == a.between[v][w]
-            assert len(a.between[v][w]) == dims[w] == cartan[v, w]
+            assert len(a.between[v][w]) == dims[w] == cartan[v][w]
 
 
 def graded_algebras():

@@ -12,6 +12,7 @@ from quiverkit.arquiver import (
     extend_cluster_tilted,
     find_local_slices_through,
     knit,
+    summand_nodes,
     tilted_quotient,
     transport_module,
 )
@@ -35,6 +36,7 @@ from quiverkit.repmod import (
     is_isomorphic,
     kernel_of,
     cokernel_of,
+    module_from_json,
     projective,
     radical_of,
     simple,
@@ -310,6 +312,9 @@ def test_extend_rejects_bad_input(alg_b, frag_b):
         extend_cluster_tilted(alg_b, sigma, simple(alg_b, "4"), frag=frag_b)
     with pytest.raises(ARQuiverError):
         extend_cluster_tilted(alg_b, sigma[:3], simple(alg_b, "2"), frag=frag_b)
+    zero = module_from_json(alg_b, {"dims": {}, "actions": {}})
+    with pytest.raises(ARQuiverError, match="the module is zero"):
+        extend_cluster_tilted(alg_b, sigma, zero, frag=frag_b)
 
 
 def test_extend_rejects_a_summand_off_the_slice(alg_b, frag_b):
@@ -320,6 +325,20 @@ def test_extend_rejects_a_summand_off_the_slice(alg_b, frag_b):
     with pytest.raises(ARQuiverError,
                        match="a summand of the module is not on the local slice"):
         extend_cluster_tilted(alg_b, sigma, m, frag=frag_b)
+
+
+def test_summand_nodes(alg_b, frag_b):
+    p1, i3 = projective(alg_b, "1"), injective(alg_b, "3")
+    got = summand_nodes(frag_b, direct_sum(alg_b, [i3, p1, i3]))
+    assert sorted(got) == sorted({frag_b.find(p1), frag_b.find(i3)})
+    zero = module_from_json(alg_b, {"dims": {}, "actions": {}})
+    with pytest.raises(ARQuiverError, match="the module is zero"):
+        summand_nodes(frag_b, zero)
+    # a capped knit that stops before I(3)
+    short = knit(alg_b, 4)
+    assert short.find(i3) < 0
+    with pytest.raises(ARQuiverError, match="a summand of the module is not a fragment node"):
+        summand_nodes(short, direct_sum(alg_b, [p1, i3]))
 
 
 def test_extend_along_whole_slice_module(alg_b, frag_b):

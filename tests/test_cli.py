@@ -44,10 +44,25 @@ def test_build_single_vertex(capsys, tmp_path):
     assert code == 0 and "dimension 1" in out
 
 
-def test_field_override(capsys):
+def test_field_override(capsys, tmp_path):
     code, out, _ = run(capsys, "--field", "rational", "--format", "json",
                        "build", _fixture("d4_clustertilted.q"))
     assert code == 0 and json.loads(out)["dimension"] == 10
+    # the override replaces the field line in every spelling the parser
+    # reads: 7*a*b is a zero coefficient in gf(7) but kills a*b over Q
+    body = "vertices: 1 2 3\narrows: a: 1 -> 2, b: 2 -> 3\nrelations: 7*a*b\n"
+    for spelling in ["field: gf(7)", "field : gf(7)", "FIELD: gf(7)",
+                     "  Field :gf(7)  # prime"]:
+        p = tmp_path / "f.q"
+        p.write_text(spelling + "\n" + body)
+        code, out, err = run(capsys, "build", str(p))
+        assert code == 1 and err.startswith("error:") and "zero in gf(7)" in err
+        code, out, err = run(capsys, "--field", "rational", "--format", "json",
+                             "build", str(p))
+        assert (code, err) == (0, "") and json.loads(out)["dimension"] == 5
+        p.write_text(spelling.replace("gf(7)", "rational") + "\n" + body)
+        code, out, err = run(capsys, "--field", "gf:7", "build", str(p))
+        assert code == 1 and err.startswith("error:") and "zero in gf(7)" in err
 
 
 def test_quiver_dot(capsys):
@@ -162,6 +177,20 @@ def test_extend_cap_reaches_second_knit(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["report"]["local_slice_passes"] is None
+
+
+def test_extend_module_off_every_slice_is_a_domain_error(capsys, tmp_path):
+    p = tmp_path / "zero.json"
+    p.write_text('{"dims": {}, "actions": {}}')
+    zero = "error: the module is zero: there is nothing to extend by\n"
+    for cap, module, slice_args, want in [
+            ("60", f"@{p}", (), zero),
+            ("60", f"@{p}", ("--slice", "1/2 3/4,1/2,1/3,1/2 3"), zero),
+            # a 4-node knit of B stops before I(3)
+            ("4", "P(1)+I(3)", (), "error: a summand of the module is not a fragment node\n")]:
+        code, out, err = run(capsys, "--cap", cap, "extend", _fixture("d4_clustertilted.q"),
+                             module, *slice_args)
+        assert (code, out, err) == (1, "", want)
 
 
 def test_find_local_slices_verb(capsys):

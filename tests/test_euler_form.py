@@ -51,7 +51,7 @@ def _closed_knit(name, field):
     a = _algebra(name, field)
     frag = knit(a, 60)
     assert frag.incomplete_reason is None
-    return a, frag.nodes, SympyMatrix(cartan_matrix(a).tolist()).inv()
+    return a, frag.nodes, SympyMatrix(cartan_matrix(a)).inv()
 
 
 def _euler(cinv, x, y):

@@ -1,7 +1,11 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +226,7 @@ def test_mutate_involution_on_square_with_return():
     q = load_fixture("d4_clustertilted.q").quiver
     for v in q.vertices:
         twice = mutate(mutate(q, v), v)
-        assert (twice.count_matrix() == q.count_matrix()).all()
+        assert twice.count_matrix() == q.count_matrix()
 
 
 def test_mutate_errors():
@@ -260,7 +264,7 @@ def test_mutation_involution_random():
         q = _random_quiver(rng, n)
         v = rng.choice(q.vertices)
         twice = mutate(mutate(q, v), v)
-        assert (twice.count_matrix() == q.count_matrix()).all()
+        assert twice.count_matrix() == q.count_matrix()
         assert len(twice.vertices) == n
 
 
@@ -288,7 +292,7 @@ def test_mutation_matches_reference_formula():
                 b[i, j] = rng.randrange(-3, 4)
                 b[j, i] = -b[i, j]
         k = rng.randrange(n)
-        got = mutate_b_matrix(b, k)
+        got = np.array(mutate_b_matrix(b.tolist(), k))
         assert (got == _mutate_reference(b, k)).all()
         assert (got == -got.T).all()  # stays skew-symmetric
 
@@ -348,8 +352,8 @@ def _reference_canon(m):
 
 def _reference_isomorphism(q1, q2, extra=((), ())):
     # the lexicographically first vertex order carrying every matrix across
-    s1 = [q1.count_matrix(), *extra[0]]
-    s2 = [q2.count_matrix(), *extra[1]]
+    s1 = [np.array(q1.count_matrix()), *map(np.array, extra[0])]
+    s2 = [np.array(q2.count_matrix()), *map(np.array, extra[1])]
     for p in itertools.permutations(range(len(q1.vertices))):
         if all(np.array_equal(a[np.ix_(p, p)], b) for a, b in zip(s1, s2)):
             return {q1.vertices[v]: q2.vertices[i] for i, v in enumerate(p)}
@@ -359,7 +363,7 @@ def _reference_isomorphism(q1, q2, extra=((), ())):
 def _reference_search(q, max_depth):
     # breadth-first search keyed by the n! canon; acyclic = nilpotent
     n = len(q.vertices)
-    counts = q.count_matrix()
+    counts = np.array(q.count_matrix())
 
     def acyclic(b):
         return not np.linalg.matrix_power((b > 0).astype(np.int64), n).any()
@@ -413,7 +417,7 @@ def test_labelling_matches_brute_force_oracle():
         e2 = e1[np.ix_(p, p)]
         if rng.random() < 0.3:
             e2[rng.randrange(n), rng.randrange(n)] += 1
-        extra = ([e1], [e2])
+        extra = ([e1.tolist()], [e2.tolist()])
         assert quiver_isomorphism(q1, q2, extra_matrices=extra) == _reference_isomorphism(
             q1, q2, extra)
         if n <= 5:
@@ -429,3 +433,24 @@ def test_search_rejects_two_cycle_naming_vertex():
         find_acyclic_in_mutation_class(q, 3)
     with pytest.raises(MutationError, match="loop at vertex 1"):
         find_acyclic_in_mutation_class(Quiver(("1",), (Arrow("a", "1", "1"),)), 3)
+
+
+def test_quiver_matrices_are_int_rows():
+    q = load_fixture("d4_clustertilted.q").quiver
+    counts = q.count_matrix()
+    assert counts == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0]]
+    assert all(type(x) is int for row in counts for x in row)
+    assert all(type(x) is int for x in canonical_form(q))
+
+
+def test_import_loads_no_numpy():
+    # the package runs on the standard library alone; numpy is a test oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, quiverkit, quiverkit.cli, quiverkit.corpus; "
+                               "print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
